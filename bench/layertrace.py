@@ -8,7 +8,7 @@ function, so ``asianpde.pricing.panel_nodes`` and
 Each call is a span (name, start, end, parent span, operation id).  Self
 time is a span's duration minus the durations of its child spans; it is
 accumulated for every call, while whole spans are kept only up to
-``span_cap`` (a scalar kernel evaluation makes hundreds of them) and
+SPAN_CAP (a run of ``kernel-points`` makes hundreds of thousands) and
 written out by ``dump``.
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 import time
 
 TRACED_MODULES = ("cli", "pricing", "_quadrature", "kernels", "mc", "fd")
+SPAN_CAP = 50_000
 
 
 def _z_count(args, kwargs):
@@ -58,8 +59,7 @@ def public_functions(module) -> dict:
 
 
 class Tracer:
-    def __init__(self, span_cap: int = 200_000) -> None:
-        self.span_cap = span_cap
+    def __init__(self) -> None:
         self.op_id = -1
         self.spans: list[tuple] = []
         self.stats: dict[str, list] = {}   # name -> [calls, self, total, work]
@@ -68,7 +68,7 @@ class Tracer:
 
     def _wrap(self, name: str, fn):
         stats = self.stats.setdefault(name, [0, 0.0, 0.0, 0])
-        stack, spans, cap = self._stack, self.spans, self.span_cap
+        stack, spans = self._stack, self.spans
         work = WORK[name][2] if name in WORK else None
         clock = time.perf_counter
 
@@ -76,7 +76,7 @@ class Tracer:
         def traced(*args, **kwargs):
             parent = stack[-1][1] if stack else -1
             idx = -1
-            if len(spans) < cap:
+            if len(spans) < SPAN_CAP:
                 idx = len(spans)
                 spans.append(None)
             frame = [0.0, idx]
@@ -134,14 +134,14 @@ class Tracer:
                        "spans": self.spans, "stats": self.stats}, fh)
 
 
-def import_times(stderr_text: str, modules) -> dict[str, float]:
+def import_times(stderr_text: str) -> dict[str, float]:
     """Cumulative seconds per module from ``python -X importtime`` output."""
     found = {}
     for line in stderr_text.splitlines():
         if not line.startswith("import time:"):
             continue
         parts = line.split("|")
-        if len(parts) == 3 and parts[2].strip() in modules:
+        if len(parts) == 3:
             try:
                 found[parts[2].strip()] = int(parts[1]) * 1e-6
             except ValueError:

@@ -62,6 +62,27 @@ def kemna_vorst(spot: float, strike: float, rate: float, sigma: float,
                                   rate - 0.5 * sigma * sigma)
 
 
+def kemna_vorst_payoff_sd(spot: float, strike: float, rate: float,
+                          sigma: float, maturity: float) -> float:
+    """Standard deviation of the discounted payoff e^{-rT} (G - K)^+ whose
+    mean is ``kemna_vorst``; an MC estimate of n paths has standard error
+    this over sqrt(n).
+
+    With log G ~ N(m, v), E[G^j 1{G > K}] = e^{jm + j^2 v/2} N((m + jv -
+    log K) / sqrt(v)), and the first two payoff moments are sums of these.
+    """
+    m = math.log(spot) + 0.5 * (rate - 0.5 * sigma * sigma) * maturity
+    v = sigma * sigma * maturity / 3.0
+    sd, lk = math.sqrt(v), math.log(strike)
+
+    def tail(j: int) -> float:
+        return math.exp(j * m + 0.5 * j * j * v) * ndtr((m + j * v - lk) / sd)
+
+    first = tail(1) - strike * tail(0)
+    second = tail(2) - 2.0 * strike * tail(1) + strike * strike * tail(0)
+    return math.exp(-rate * maturity) * math.sqrt(second - first * first)
+
+
 def time_average_of_calls(spot: float, strike: float, rate: float,
                           sigma: float, maturity: float, nu: float) -> float:
     """e^{-rT} (1/T) * integral over s in (0, T) of E[(S_s - K)^+].

@@ -1,10 +1,10 @@
 """Repeat benchmark runs over seeds and print a reference table.
 
-    python3 bench/reference.py --seeds 1-10 [--workloads a,b] [--seconds 14]
-                               [--traced] [--json FILE]
+    python3 bench/reference.py --seeds 1-10 [--traced] [--json FILE]
 
-For each workload it runs ``bench/run.py`` once per seed, one run at a
-time, and prints, per end-to-end metric, the median, the first and third
+For each workload of BENCHMARK.json it runs ``bench/run.py`` once per
+seed, one run at a time and for BENCHMARK.json's ``run_seconds``, and
+prints, per end-to-end metric, the median, the first and third
 quartiles (``statistics.quantiles(n=4)``) and the spread (Q3 - Q1) / median,
 with the failed share of the operations.  ``--traced`` adds one traced run
 per seed and prints the tracing overhead as the ratio traced / untraced
@@ -23,7 +23,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 sys.path.insert(0, str(BENCH))
-from run import END_TO_END, WORKLOADS  # noqa: E402
+from run import load_spec  # noqa: E402
 
 
 def _seeds(text: str) -> list[int]:
@@ -47,19 +47,19 @@ def _stats(values: list[float]) -> tuple[float, float, float, float]:
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--seconds", type=int, default=14)
     p.add_argument("--traced", action="store_true")
     p.add_argument("--json", help="also write every run's output here")
     args = p.parse_args()
     seeds = _seeds(args.seeds)
+    spec = load_spec()
+    seconds = spec["run_seconds"]
     record = {}
     print("| workload | metric | median | Q1 | Q3 | spread |")
     print("|---|---|---|---|---|---|")
-    for w in args.workloads.split(","):
-        runs = [_run(w, s, args.seconds, 0) for s in seeds]
+    for w in (w["name"] for w in spec["workloads"]):
+        runs = [_run(w, s, seconds, 0) for s in seeds]
         record[w] = {"untraced": runs}
-        for m in END_TO_END:
+        for m in (m["name"] for m in spec["end_to_end"]):
             med, q1, q3, spread = _stats(
                 [r["metrics"][m]["value"] for r in runs])
             print(f"| {w} | {m} | {med:.4g} | {q1:.4g} | {q3:.4g} "
@@ -70,7 +70,7 @@ def main() -> int:
         if not all(r["correct"] for r in runs):
             print(f"| {w} | INCORRECT RUNS | | | | |", flush=True)
         if args.traced:
-            traced = [_run(w, s, args.seconds, 1) for s in seeds]
+            traced = [_run(w, s, seconds, 1) for s in seeds]
             record[w]["traced"] = traced
             for m in ("ops_per_s", "op_p50_ms"):
                 plain = statistics.median(

@@ -28,48 +28,10 @@ from layertrace import import_times
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
-WORKLOADS = ("geometric-book", "arithmetic-book", "kernel-points", "mc-book",
-             "fd-solve")
 SETUP_PROBES = 2
 RUN_LIMIT_S = 170.0
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
-
-END_TO_END = {"ops_per_s": "1/s", "op_p50_ms": "ms", "setup_s": "s",
-              "peak_rss_mb": "MB"}
-IMPORTED = ("cli", "mc", "control", "pricing", "kernels", "fd")
-PER_LAYER = {
-    **{f"kernels.theta_batch.{m}": u for m, u in
-       (("calls", "count"), ("self_s", "s"), ("z_evals", "count"),
-        ("z_per_s", "1/s"))},
-    "kernels.yor_density_batch.self_s": "s",
-    "kernels.theta.calls": "count",
-    "kernels.theta.self_s": "s",
-    "kernels.gamma_l_lambda.self_s": "s",
-    "pricing.price.calls": "count",
-    "pricing.price.self_s": "s",
-    "pricing.growth_check.self_s": "s",
-    "pricing.transform_geometric.self_s": "s",
-    "pricing.make_arithmetic_problem.self_s": "s",
-    "_quadrature.panel_nodes.calls": "count",
-    "_quadrature.panel_nodes.self_s": "s",
-    "cli.run.calls": "count",
-    "cli.run.self_s": "s",
-    "cli.build_parser.self_s": "s",
-    **{f"mc.simulate_terminal.{m}": u for m, u in
-       (("calls", "count"), ("self_s", "s"), ("path_steps", "count"),
-        ("path_steps_per_s", "1/s"))},
-    "mc.mc_price.self_s": "s",
-    **{f"fd.solve_cauchy.{m}": u for m, u in
-       (("calls", "count"), ("self_s", "s"), ("cell_steps", "count"),
-        ("cell_steps_per_s", "1/s"))},
-    "fd.mollify.self_s": "s",
-    "fd.delta_approximant.self_s": "s",
-    **{f"import.{m}.cumulative_s": "s" for m in IMPORTED},
-    "trace.ops_per_s": "1/s",
-    "trace.op_p50_ms": "ms",
-    "trace.op_p90_ms": "ms",
-}
 
 
 def _fail(msg: str) -> int:
@@ -110,9 +72,16 @@ def _finish(proc: subprocess.Popen, timeout: float) -> str:
     return out
 
 
+def load_spec() -> dict:
+    """BENCHMARK.json: the workload names and each metric's name and unit."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def main() -> int:
+    spec = load_spec()
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", required=True, choices=WORKLOADS)
+    p.add_argument("--workload", required=True,
+                   choices=[w["name"] for w in spec["workloads"]])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -154,21 +123,21 @@ def main() -> int:
     if summary["failures"]:
         print("failed checks: " + json.dumps(summary["failures"]))
     if args.trace:
-        layers = summary["layers"]
-        imports = import_times(
-            err_path.read_text(), {f"asianpde.{m}" for m in IMPORTED})
-        for m in IMPORTED:
-            layers[f"import.{m}.cumulative_s"] = imports.get(
-                f"asianpde.{m}", 0.0)
-        layers["trace.ops_per_s"] = summary["ops_per_s"]
-        layers["trace.op_p50_ms"] = summary["op_p50_ms"]
-        layers["trace.op_p90_ms"] = summary["op_p90_ms"]
-        metrics = {k: {"value": layers.get(k, 0), "unit": u}
-                   for k, u in PER_LAYER.items()}
+        values = summary["layers"]
+        for module, secs in import_times(err_path.read_text()).items():
+            if module.startswith("asianpde."):
+                values[f"import.{module[9:]}.cumulative_s"] = secs
+        for m in ("ops_per_s", "op_p50_ms", "op_p90_ms"):
+            values[f"trace.{m}"] = summary[m]
+        listed = spec["per_layer"]
     else:
-        summary["setup_s"] = statistics.median(ready)
-        metrics = {k: {"value": summary[k], "unit": u}
-                   for k, u in END_TO_END.items()}
+        values = dict(summary, setup_s=statistics.median(ready))
+        listed = spec["end_to_end"]
+    missing = [m["name"] for m in listed if m["name"] not in values]
+    if missing:
+        return _fail("the run produced no " + ", ".join(missing))
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+               for m in listed}
     print(json.dumps({"correct": summary["unexpected_failures"] == 0,
                       "attempted": summary["attempted"],
                       "failed": summary["failed"],

@@ -42,6 +42,24 @@ def test_kemna_vorst_matches_integrated_lognormal_payoff(spot, strike, rate,
         == pytest.approx(direct, rel=1e-9, abs=1e-13)
 
 
+@pytest.mark.parametrize("spot,strike,rate,sigma,T", [
+    (1.0, 1.0, 0.0, 0.4, 1.0), (1.0, 1.1, 0.03, 0.4, 2.0),
+    (0.7, 0.6, 0.08, 0.1, 0.25), (1.9, 2.0, 0.05, 0.6, 1.5)])
+def test_kemna_vorst_payoff_sd_matches_integrated_square(spot, strike, rate,
+                                                         sigma, T):
+    m = math.log(spot) + 0.5 * (rate - 0.5 * sigma**2) * T
+    sd = math.sqrt(sigma**2 * T / 3.0)
+    z0 = (math.log(strike) - m) / sd
+    second, _ = quad(lambda z: (math.exp(m + sd * z) - strike) ** 2
+                     * norm.pdf(z), z0, z0 + 40.0, epsabs=1e-14,
+                     epsrel=1e-12)
+    mean = math.exp(rate * T) * oracles.kemna_vorst(spot, strike, rate,
+                                                    sigma, T)
+    direct = math.exp(-rate * T) * math.sqrt(second - mean * mean)
+    assert oracles.kemna_vorst_payoff_sd(spot, strike, rate, sigma, T) \
+        == pytest.approx(direct, rel=1e-9)
+
+
 @pytest.mark.parametrize("nu_kind", ["zero", "risk-neutral"])
 @pytest.mark.parametrize("spot,strike,rate,sigma,T", [
     (1.0, 1.0, 0.0, 1.2, 1.0), (1.1, 0.9, 0.0, 1.0, 2.0),
@@ -187,6 +205,15 @@ def test_geometric_check_rejects_price_just_outside_estimate():
     assert W.geometric_check([op], [{"code": 1}])[0] is not None
 
 
+def test_geometric_check_rejects_estimate_just_above_tol():
+    op = W.geometric_round(3, 0)[5]
+    kv = oracles.kemna_vorst(op["spot"], op["strike"], op["rate"],
+                             op["sigma"], op["T"])
+    for scale, passes in ((0.99, True), (1.01, False)):
+        out = {"code": 0, "price": kv, "error": scale * W.GEOMETRIC_TOL}
+        assert (W.geometric_check([op], [out]) == [None]) is passes
+
+
 def _arith_outputs(ops, err=1e-6):
     outs = []
     for op in ops:
@@ -243,6 +270,47 @@ def test_arithmetic_check_rejects_deep_price_just_off_the_mean():
     assert W.arithmetic_check(ops, outs)[3] is None
 
 
+def _kept_arith_output(scale_err, price_at="middle"):
+    ops = W.arithmetic_round(4, 0)
+    outs = _arith_outputs(ops)
+    op = ops[0]
+    args = (op["spot"], op["strike"], op["rate"], op["sigma"], op["T"])
+    err = scale_err
+    top = max(oracles.time_average_of_calls(*args, nu)
+              for nu in oracles.drifts(op["rate"], op["sigma"]))
+    if price_at == "middle":
+        price = outs[0]["price"]
+    else:
+        price = top + price_at * err
+    outs[0] = {"code": 0, "price": price, "error": err}
+    return ops, outs
+
+
+def test_arithmetic_kept_contract_fails_only_for_its_known_fault():
+    ops, outs = _kept_arith_output(1.38e-4)
+    res = W.arithmetic_check(ops, outs)
+    assert ops[0]["kept"] and isinstance(res[0], W.Known)
+    assert res[1:] == [None] * 3
+    # mended: it meets tol
+    ops, outs = _kept_arith_output(0.99 * W.ARITH_TOL)
+    assert W.arithmetic_check(ops, outs)[0] is None
+    # a refusal is the mend ROADMAP item 3(a) asks for
+    res = W.arithmetic_check(ops, [{"code": W.EXIT_REFUSED}] + outs[1:])
+    assert isinstance(res[0], W.Known)
+    # anything else is a new fault
+    for out in ({"code": 0, "price": outs[1]["price"],
+                 "error": 1.01 * W.ARITH_KEPT_ESTIMATE},
+                {"code": 0, "price": math.nan, "error": 1.38e-4},
+                {"code": 2}, {"exception": "ThetaConvergenceError: t"}):
+        res = W.arithmetic_check(ops, [out] + outs[1:])
+        assert res[0] is not None and not isinstance(res[0], W.Known)
+    ops, outs = _kept_arith_output(1e-4, price_at=1.01)
+    res = W.arithmetic_check(ops, outs)
+    assert res[0] is not None and not isinstance(res[0], W.Known)
+    ops, outs = _kept_arith_output(1e-4, price_at=0.99)
+    assert isinstance(W.arithmetic_check(ops, outs)[0], W.Known)
+
+
 def test_arithmetic_check_rejects_pair_just_apart():
     ops = W.arithmetic_round(4, 0)
     outs = _arith_outputs(ops)
@@ -263,20 +331,64 @@ def test_kernel_check_rejects_value_just_outside_both_estimates():
     assert W.kernel_check([op], [outside])[0] is not None
 
 
+def _mc_se(op):
+    args = (op["spot"], op["strike"], op["rate"], op["sigma"], op["T"])
+    return oracles.kemna_vorst(*args), \
+        oracles.kemna_vorst_payoff_sd(*args) / math.sqrt(W.MC_PATHS)
+
+
 def test_mc_check_rejects_price_just_beyond_the_se_limit():
-    ops = W.mc_round(6, 0)
-    geo = ops[1]
-    kv = oracles.kemna_vorst(geo["spot"], geo["strike"], geo["rate"],
-                             geo["sigma"], geo["T"])
-    se = 1e-3
+    geo = W.mc_round(6, 0)[1]
+    kv, se = _mc_se(geo)
     assert W.mc_check([geo], [{"code": 0, "price": kv + 4.99 * se,
                                "error": se}]) == [None]
     assert W.mc_check([geo], [{"code": 0, "price": kv + 5.01 * se,
                                "error": se}])[0] is not None
-    case = ops[0]
-    ref = oracles.LINETSKY_TABLE[case["case"]][-1]
-    assert case["kept"] and W.mc_check(
-        [case], [{"code": 0, "price": ref + 5.01 * se, "error": se}])[0]
+
+
+def test_mc_check_rejects_se_just_above_that_of_the_stated_paths():
+    geo = W.mc_round(6, 0)[1]
+    kv, se = _mc_se(geo)
+    for scale, passes in ((0.99, True), (1.01, False)):
+        out = {"code": 0, "price": kv, "error": scale * W.MC_SE_SLACK * se}
+        assert (W.mc_check([geo], [out]) == [None]) is passes
+    for se_bad in (0.0, math.nan):
+        out = {"code": 0, "price": kv, "error": se_bad}
+        assert W.mc_check([geo], [out])[0] is not None
+
+
+def test_mc_rounds_keep_every_geometric_call_in_the_money_enough():
+    for seed in range(1, 30):
+        for op in W.mc_round(seed, 0)[1:]:
+            m = math.log(op["spot"]) \
+                + 0.5 * (op["rate"] - 0.5 * op["sigma"]**2) * op["T"]
+            z = (math.log(op["strike"]) - m) \
+                / (op["sigma"] * math.sqrt(op["T"] / 3))
+            assert -1.0 <= z <= 1.0
+
+
+def test_mc_kept_case_fails_only_for_its_known_fault():
+    case = W.mc_round(6, 4)[0]       # case 4 of the table
+    assert case["kept"] and case["case"] == 4
+    ref = oracles.LINETSKY_TABLE[4][-1]
+    args = (case["spot"], case["strike"], 0.0, case["sigma"], case["T"], 0.0)
+    lo, hi = (oracles.geometric_average_call(*args),
+              oracles.time_average_of_calls(*args))
+    se = 1e-3
+    res = W.mc_check([case], [{"code": 0, "price": 0.3096, "error": se}])
+    assert isinstance(res[0], W.Known)
+    # mended: within the se limit of Linetsky's value
+    assert W.mc_check([case], [{"code": 0, "price": ref + 4.99 * se,
+                                "error": se}]) == [None]
+    # just outside the bounds of the r = 0 model: a new fault
+    for price, known in ((hi + 4.99 * se, True), (hi + 5.01 * se, False),
+                         (lo - 4.99 * se, True), (lo - 5.01 * se, False)):
+        res = W.mc_check([case], [{"code": 0, "price": price, "error": se}])
+        assert res[0] is not None and isinstance(res[0], W.Known) is known
+    for out in ({"code": 1}, {"code": 0, "price": math.nan, "error": se},
+                {"code": 0, "price": 0.3096, "error": 0.0}):
+        res = W.mc_check([case], [out])
+        assert res[0] is not None and not isinstance(res[0], W.Known)
 
 
 def _fd_outputs(ops):
@@ -325,7 +437,9 @@ def test_every_check_fails_an_operation_that_raised():
     for wl in W.WORKLOADS.values():
         ops = wl.round(8, 0)
         outs = [raised] * len(ops)
-        assert all(r == raised["exception"] for r in wl.check_round(ops, outs))
+        res = wl.check_round(ops, outs)
+        assert all(r == raised["exception"] for r in res)
+        assert not any(isinstance(r, W.Known) for r in res)
 
 
 def test_rounds_repeat_for_a_seed_and_differ_across_seeds():

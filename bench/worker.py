@@ -2,10 +2,11 @@
 
 ``worker.py --probe`` imports ``asianpde.cli``, prints ``ready`` and exits:
 the run measures set-up time on it.  ``worker.py --workload W ...`` does the
-same, then runs whole rounds of W one operation at a time until the run
-length has passed, checks every output against the oracles, and prints one
-JSON summary line.  With ``--trace 1`` the public functions of the program
-are wrapped first (see ``layertrace.py``).
+same, then runs whole rounds of W one operation at a time until the
+operations it times have taken the run length, checks every round's
+outputs against the oracles as the round ends, and prints one JSON summary
+line.  With ``--trace 1`` the public functions of the program are wrapped
+first (see ``layertrace.py``).
 """
 from __future__ import annotations
 
@@ -14,12 +15,14 @@ import json
 import resource
 import sys
 import time
+from array import array
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# A run stops after this many operations even if time is left, so the
-# checks that follow it stay bounded when the program gets much faster.
+# A run stops after this many operations even if time is left, so that its
+# checks, which cost more than a kernel-points operation, stay bounded when
+# the program gets much faster.
 MAX_OPS = 100_000
 
 
@@ -34,9 +37,9 @@ def main() -> int:
     p = argparse.ArgumentParser()
     p.add_argument("--probe", action="store_true")
     p.add_argument("--workload")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=10.0)
-    p.add_argument("--trace", type=int, default=0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--seconds", type=float)
+    p.add_argument("--trace", type=int)
     p.add_argument("--trace-file")
     args = p.parse_args()
 
@@ -51,53 +54,51 @@ def main() -> int:
     tracer = None
     if args.trace:
         import layertrace
-        tracer = layertrace.Tracer(span_cap=50_000)
+        tracer = layertrace.Tracer()
         tracer.install()
 
-    rounds, latencies = [], []
-    start = time.perf_counter()
+    # Each round is checked as soon as it has run, and then dropped, so
+    # nothing the worker keeps grows with the number of operations but the
+    # latencies, 8 bytes each.  Only the calls into the program are timed,
+    # and kept operations are left out of the timing: their cost says
+    # nothing of the program's speed on the work it gets right.
+    latencies = array("d")
+    failures, unexpected, attempted, timed_s = {}, 0, 0, 0.0
     k = 0
-    while True:
+    while timed_s < args.seconds and attempted < MAX_OPS:
         ops = wl.round(args.seed, k)
         outs = []
         for op in ops:
             if tracer is not None:
-                tracer.op_id = len(latencies)
+                tracer.op_id = attempted + len(outs)
             t0 = time.perf_counter()
             try:
                 out = wl.run_op(op)
             except Exception as exc:    # a raising operation has failed
                 out = {"exception": f"{type(exc).__name__}: {exc}"}
-            latencies.append(time.perf_counter() - t0)
+            dt = time.perf_counter() - t0
+            if not op.get("kept"):
+                latencies.append(dt)
+                timed_s += dt
             outs.append(out)
-        rounds.append((ops, outs))
+        for reason in wl.check_round(ops, outs):
+            if reason is not None:
+                failures[reason] = failures.get(reason, 0) + 1
+                unexpected += not isinstance(reason, workloads.Known)
+        attempted += len(ops)
         k += 1
-        if time.perf_counter() - start >= args.seconds \
-                or len(latencies) >= MAX_OPS:
-            break
-    elapsed = time.perf_counter() - start
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if tracer is not None:
         tracer.uninstall()
 
-    # an operation marked "kept" fails because of a known fault of the
-    # program; any other failed check makes the run incorrect
-    failures, unexpected = {}, 0
-    n = 0
-    for ops, outs in rounds:
-        for op, reason in zip(ops, wl.check_round(ops, outs)):
-            if reason is not None:
-                failures[reason] = failures.get(reason, 0) + 1
-                unexpected += not op.get("kept", False)
-            n += 1
     lat_ms = np.asarray(latencies) * 1e3
     summary = {
-        "attempted": n,
+        "attempted": attempted,
         "failed": sum(failures.values()),
         "unexpected_failures": unexpected,
         "failures": failures,
         "rounds": k,
-        "ops_per_s": n / elapsed,
+        "ops_per_s": len(latencies) / timed_s,
         "op_p50_ms": float(np.percentile(lat_ms, 50)),
         "op_p90_ms": float(np.percentile(lat_ms, 90)),
         "peak_rss_mb": peak_rss_mb,

@@ -6,6 +6,9 @@ the same seed gives the same inputs, and a run always attempts whole
 rounds.  ``run_op`` calls into ``asianpde`` and is the only timed code;
 ``check_round`` compares the outputs of one round with the oracles in
 ``oracles.py`` and gives, per operation, ``None`` or the reason it failed.
+An operation marked ``kept`` fails on every run because of a known fault
+of the program; its check still holds it to a weaker standard, and only a
+failure for that known reason comes back as a ``Known`` reason.
 """
 from __future__ import annotations
 
@@ -24,10 +27,17 @@ import oracles
 # so no seed the benchmark is run with should turn a correct program into a
 # failed operation; 4 se would fail once in 16 thousand.
 MC_SE_LIMIT = 5.0
+# Every MC price is asked for at this size, not at the CLI's defaults, and
+# a geometric price's standard error may exceed that of MC_PATHS paths,
+# computed in closed form, by this factor (at most 1.01 was seen).
+MC_PATHS, MC_STEPS = 100_000, 256
+MC_SE_SLACK = 1.1
 
 ARITH_TOL = 1e-5
 ARITH_S2T = 2.0          # sigma^2 T of every passing arithmetic contract
 DEEP_ITM_STRIKE = 0.02
+# the kept arithmetic contract returns 1.38e-4; past this it is a new fault
+ARITH_KEPT_ESTIMATE = 1e-3
 GEOMETRIC_TOL = 1e-8
 KERNEL_TOL = 1e-10
 
@@ -46,6 +56,14 @@ FD_MASS_TOL = 1e-3
 FD_L1_BOUND = 0.24
 FD_NEG_TOL = 1e-12
 FD_LEAK_RTOL = 1e-9
+
+
+class Known(str):
+    """The reason a kept operation failed, when it is the known fault."""
+
+
+# the CLI's exit code for an error it reports on one line
+EXIT_REFUSED = 1
 
 
 def _rng(seed: int, wid: int, k: int) -> np.random.Generator:
@@ -110,6 +128,8 @@ def geometric_check(ops: list[dict], outs: list[dict]) -> list[str | None]:
     res = []
     for op, out in zip(ops, outs):
         bad = _failed_call(out)
+        if bad is None and not out["error"] <= GEOMETRIC_TOL:
+            bad = f"estimate {out['error']:.3g} > tol {GEOMETRIC_TOL:g}"
         if bad is None:
             kv = oracles.kemna_vorst(op["spot"], op["strike"], op["rate"],
                                      op["sigma"], op["T"])
@@ -169,9 +189,29 @@ def _deep_itm_holds(op: dict, price: float, err: float) -> bool:
         for nu in oracles.drifts(op["rate"], op["sigma"]))
 
 
+def _arith_kept_check(op: dict, out: dict) -> str | None:
+    """The kept contract may miss tol, as long as its estimate stays below
+    ARITH_KEPT_ESTIMATE and its price inside the bounds; that, or refusing
+    it with a one-line error (what ROADMAP item 3(a) asks for), is the
+    known fault.  Anything else is a new one."""
+    if out.get("code") == EXIT_REFUSED:
+        return Known(f"refused: exit code {EXIT_REFUSED}")
+    bad = _failed_call(out)
+    if bad is None and not out["error"] <= ARITH_KEPT_ESTIMATE:
+        bad = f"estimate {out['error']:.3g} > {ARITH_KEPT_ESTIMATE:g}"
+    if bad is None and not _arith_bounds_hold(op, out["price"], out["error"]):
+        bad = "price outside the geometric / time-average bounds"
+    if bad is None and out["error"] > ARITH_TOL:
+        bad = Known(f"estimate {out['error']:.3g} > tol {ARITH_TOL:g}")
+    return bad
+
+
 def arithmetic_check(ops: list[dict], outs: list[dict]) -> list[str | None]:
     res = []
     for op, out in zip(ops, outs):
+        if op.get("kept"):
+            res.append(_arith_kept_check(op, out))
+            continue
         bad = _failed_call(out)
         if bad is None and not out["error"] <= ARITH_TOL:
             bad = f"estimate {out['error']:.3g} > tol {ARITH_TOL:g}"
@@ -245,7 +285,12 @@ def kernel_check(ops: list[dict], outs: list[dict]) -> list[str | None]:
 def mc_round(seed: int, k: int) -> list[dict]:
     """One Linetsky case (the kept failure, cycling through the seven) and
     three seeded geometric calls.  The Linetsky cases use fixed MC seeds, so
-    they do not depend on the workload seed."""
+    they do not depend on the workload seed.
+
+    A geometric strike sits z standard deviations of log G from the mean of
+    log G, z uniform in [-1, 1], so every call is exercised with
+    probability 0.16-0.84: a far out-of-the-money call would leave few or
+    no exercised paths, and its standard error would mean nothing."""
     g = _rng(seed, 4, k)
     case = k % len(oracles.LINETSKY_TABLE)
     r, s, T, spot, _ = oracles.LINETSKY_TABLE[case]
@@ -254,32 +299,61 @@ def mc_round(seed: int, k: int) -> list[dict]:
             "rate": r, "mc_seed": 1000 + case}]
     for j in range(3):
         spot = float(g.uniform(0.8, 1.25))
-        ops.append({"kind": "geometric", "sigma": float(g.uniform(0.1, 0.6)),
-                    "T": float(g.uniform(0.25, 2.0)), "spot": spot,
-                    "strike": spot * float(g.uniform(0.8, 1.25)),
-                    "rate": float(g.uniform(0.0, 0.08)),
+        sigma = float(g.uniform(0.1, 0.6))
+        T = float(g.uniform(0.25, 2.0))
+        rate = float(g.uniform(0.0, 0.08))
+        z = float(g.uniform(-1.0, 1.0))
+        log_strike = math.log(spot) + 0.5 * (rate - 0.5 * sigma**2) * T \
+            + z * sigma * math.sqrt(T / 3.0)
+        ops.append({"kind": "geometric", "sigma": sigma, "T": T,
+                    "spot": spot, "rate": rate,
+                    "strike": math.exp(log_strike),
                     "mc_seed": (seed % 1_000_000) * 10_000 + 4 * k + j})
     return ops
 
 
 def mc_op(op: dict) -> dict:
     return _cli_price(_price_argv(op["kind"], "mc", op)
-                      + ["--seed", str(op["mc_seed"])])
+                      + ["--paths", str(MC_PATHS), "--steps", str(MC_STEPS),
+                         "--seed", str(op["mc_seed"])])
+
+
+def _linetsky_kept_check(op: dict, out: dict, se: float) -> str | None:
+    """A Linetsky case passes within MC_SE_LIMIT se of the table.  Missing
+    it is the known fault only while the price is inside the bounds of the
+    model the CLI builds today, ModelSpec(mu=0, r=0): no discounting and
+    exponent drift 0, widened by MC_SE_LIMIT se."""
+    dev = abs(out["price"] - oracles.LINETSKY_TABLE[op["case"]][-1]) / se
+    if dev <= MC_SE_LIMIT:
+        return None
+    args = (op["spot"], op["strike"], 0.0, op["sigma"], op["T"], 0.0)
+    slack = MC_SE_LIMIT * se
+    if oracles.geometric_average_call(*args) - slack <= out["price"] \
+            <= oracles.time_average_of_calls(*args) + slack:
+        return Known(f"MC price {dev:.1f} se from Linetsky (--rate ignored)")
+    return "MC price outside the bounds of the r = 0 model"
 
 
 def mc_check(ops: list[dict], outs: list[dict]) -> list[str | None]:
     res = []
     for op, out in zip(ops, outs):
         bad = _failed_call(out)
-        if bad is None:
-            if op["kind"] == "geometric":
-                ref = oracles.kemna_vorst(op["spot"], op["strike"],
-                                          op["rate"], op["sigma"], op["T"])
-            else:
-                ref = oracles.LINETSKY_TABLE[op["case"]][-1]
-            dev = abs(out["price"] - ref) / out["error"]
-            if not dev <= MC_SE_LIMIT:
-                bad = f"MC price {dev:.1f} se from the oracle"
+        se = out.get("error", math.nan)
+        if bad is None and not se > 0.0:
+            bad = f"standard error {se!r}"
+        if bad is None and op["kind"] == "geometric":
+            args = (op["spot"], op["strike"], op["rate"], op["sigma"],
+                    op["T"])
+            limit = MC_SE_SLACK * oracles.kemna_vorst_payoff_sd(*args) \
+                / math.sqrt(MC_PATHS)
+            dev = abs(out["price"] - oracles.kemna_vorst(*args)) / se
+            if not se <= limit:
+                bad = (f"standard error {se:.3g} > {limit:.3g}, "
+                       f"{MC_SE_SLACK:g} x that of {MC_PATHS} paths")
+            elif not dev <= MC_SE_LIMIT:
+                bad = f"MC price {dev:.1f} se from Kemna-Vorst"
+        elif bad is None:
+            bad = _linetsky_kept_check(op, out, se)
         res.append(bad)
     return res
 
