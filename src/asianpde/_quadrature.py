@@ -27,35 +27,3 @@ def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 def uniform_edges(a: float, b: float, max_width: float) -> np.ndarray:
     n = max(1, int(np.ceil((b - a) / max_width)))
     return np.linspace(a, b, n + 1)
-
-
-def integrate_panels(f, edges: np.ndarray, order: int = 16) -> tuple[float, float]:
-    """Integral of a vectorized f over panelled [edges[0], edges[-1]].
-
-    Error estimate from comparing against the doubled-order rule.
-    """
-    xs, ws = panel_nodes(edges, order)
-    lo = float(np.dot(ws, f(xs)))
-    xs2, ws2 = panel_nodes(edges, 2 * order)
-    hi = float(np.dot(ws2, f(xs2)))
-    return hi, abs(hi - lo)
-
-
-def trapezoid_doubling(
-    f, a: float, b: float, n0: int = 64, atol: float = 1e-12,
-    max_doublings: int = 14,
-) -> tuple[float, float]:
-    """Composite trapezoid with resolution doubling until the update is small."""
-    n = n0
-    xs = np.linspace(a, b, n + 1)
-    prev = float(np.trapezoid(f(xs), xs))
-    err = np.inf
-    for _ in range(max_doublings):
-        n *= 2
-        xs = np.linspace(a, b, n + 1)
-        cur = float(np.trapezoid(f(xs), xs))
-        err = abs(cur - prev)
-        prev = cur
-        if err <= atol:
-            break
-    return prev, err

@@ -25,8 +25,9 @@ from .control import ControlEndpoints, psi, psi_bruteforce, psi_direct
 from .fd import (CoefficientField, GridSpec, approximate_fundamental_solution,
                  save_grid)
 from .geometry import EventPoint, GeometryKind
-from .kernels import (KernelParams, gamma_k, gamma_k_array, gamma_k_mass,
-                      gamma_l1, gamma_l1_mass, gamma_l_lambda)
+from .kernels import (KernelParams, ThetaConvergenceError, gamma_k,
+                      gamma_k_array, gamma_k_mass, gamma_l1, gamma_l1_mass,
+                      gamma_l_lambda)
 from .mc import Averaging, McConfig, ModelSpec, mc_price, simulate_terminal
 from .pricing import (GammaKEvaluator, GammaLEvaluator, GrowthBound,
                       PricingSpec, arithmetic_call_payoff,
@@ -455,7 +456,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ThetaConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

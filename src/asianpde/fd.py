@@ -311,8 +311,7 @@ def _transport_apply(u, speed, dy, scheme: str):
     fwd[:, :-1] = (u[:, 1:] - u[:, :-1]) / dy      # copy-out ghost at top
     bwd[:, 1:] = (u[:, 1:] - u[:, :-1]) / dy       # copy-out ghost at bottom
     s = speed[:, None]
-    central = 0.5 * (fwd + bwd)
-    return np.where(s > 0, s * fwd, np.where(s < 0, s * bwd, s * central))
+    return np.where(s > 0, s * fwd, s * bwd)
 
 
 def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
@@ -344,26 +343,12 @@ def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
     else:
         bu = b_full * u
         out[1:-1, :] -= (bu[2:, :] - bu[:-2, :]) / (2.0 * dx)
-        if transport == "central":
-            out -= _transport_apply(u, speed, dy, "central")
-        else:
-            out -= _transport_apply_adjoint(u, speed, dy)
+        # the adjoint advects with the opposite velocity
+        out += _transport_apply(u, -speed, dy, transport)
     out -= r_full * u
     out[0, :] = out[-1, :] = 0.0
     out[:, 0] = out[:, -1] = 0.0
     return out
-
-
-def _transport_apply_adjoint(u, speed, dy):
-    # the adjoint advects with velocity of the opposite sign, so the upwind
-    # difference direction flips relative to the primal operator
-    fwd = np.zeros_like(u)
-    bwd = np.zeros_like(u)
-    fwd[:, :-1] = (u[:, 1:] - u[:, :-1]) / dy
-    bwd[:, 1:] = (u[:, 1:] - u[:, :-1]) / dy
-    s = speed[:, None]
-    central = 0.5 * (fwd + bwd)
-    return np.where(s > 0, s * bwd, np.where(s < 0, s * fwd, s * central))
 
 
 # ---------------------------------------------------------------------------

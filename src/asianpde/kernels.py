@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import panel_nodes, trapezoid_doubling
+from ._quadrature import panel_nodes
 from .geometry import EventPoint
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
     "yor_density_batch",
     "yor_mass",
     "gamma_l1",
-    "gamma_l1_batch",
-    "gamma_l1_batch_eval",
+    "gamma_l1_array",
     "gamma_l1_mass",
     "gamma_l_lambda",
 ]
@@ -41,6 +40,9 @@ __all__ = [
 # precision has no correct digits left and we refuse instead of guessing.
 THETA_MIN_TIME = 0.05
 THETA_MAX_PANELS = 4096
+# Gauss-Legendre order per half-period panel of the lower theta rule; the
+# upper rule doubles it and their disagreement is the rule error
+_THETA_ORDER = 24
 _EPS = np.finfo(float).eps
 
 
@@ -123,8 +125,7 @@ def gamma_k(params: KernelParams, z: EventPoint, pole: EventPoint) -> float:
                                pole.x, pole.y, pole.t))
 
 
-def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float,
-                 order: int = 80) -> float:
+def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float) -> float:
     """Pole-variable integral of the Gaussian kernel by quadrature.
 
     Uses the shear substitution s = eta - (y + dt*(x+xi)/2), under which the
@@ -136,7 +137,7 @@ def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float,
         return 0.0
     sx = math.sqrt(2.0 * lam * dt)
     sy = math.sqrt(lam * dt**3 / 6.0)
-    xg, wgt = np.polynomial.legendre.leggauss(order)
+    xg, wgt = np.polynomial.legendre.leggauss(80)
     xi = z.x + 10.0 * sx * xg
     s = 10.0 * sy * xg
     fx = np.exp(-((z.x - xi) ** 2) / (4.0 * lam * dt))
@@ -149,12 +150,6 @@ def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float,
 # ---------------------------------------------------------------------------
 # Oscillatory integral
 # ---------------------------------------------------------------------------
-
-def _theta_integrand(xi: np.ndarray, z: float, t: float) -> np.ndarray:
-    with np.errstate(under="ignore", over="ignore"):
-        damp = np.exp(-(xi**2) / (2.0 * t) - z * np.cosh(xi))
-    return damp * np.sinh(xi) * np.sin(math.pi * xi / t)
-
 
 def _theta_envelope(xi: np.ndarray, z: float, t: float) -> np.ndarray:
     with np.errstate(under="ignore", over="ignore"):
@@ -196,81 +191,44 @@ def _theta_edges(z: float, t: float, tol: float) -> np.ndarray:
     return np.linspace(0.0, n_half * t, n_half + 1)
 
 
-def _adaptive_panel(f, a: float, b: float, tol: float, depth: int = 0
-                     ) -> tuple[float, float, float]:
-    x16, w16 = panel_nodes(np.array([a, b]), 16)
-    x32, w32 = panel_nodes(np.array([a, b]), 32)
-    lo = float(np.dot(w16, f(x16)))
-    hi = float(np.dot(w32, f(x32)))
-    scale = float(np.dot(w32, np.abs(f(x32))))
-    err = abs(hi - lo)
-    if err <= tol or depth >= 10:
-        return hi, err, scale
-    m = 0.5 * (a + b)
-    v1, e1, s1 = _adaptive_panel(f, a, m, tol / 2.0, depth + 1)
-    v2, e2, s2 = _adaptive_panel(f, m, b, tol / 2.0, depth + 1)
-    return v1 + v2, e1 + e2, s1 + s2
-
-
 def theta(z_arg: float, t: float, tol: float = 1e-10) -> KernelResult:
-    """Oscillatory transform: integral over (0, inf) of
-    exp(-xi^2/(2t)) * exp(-z*cosh(xi)) * sinh(xi) * sin(pi*xi/t) dxi.
+    """Oscillatory transform at one z: wraps :func:`theta_batch`.
 
-    Rule A is adaptive Gauss quadrature on half-period panels; rule B is a
-    resolution-doubled trapezoid over the same truncated range.  The error
-    estimate is the worse of the two internal estimates, the inter-rule
-    disagreement, and an explicit roundoff floor eps * integral(|integrand|).
+    The exact transform is positive, so negative quadrature dust is clamped
+    to 0 and its magnitude added to the error estimate.
     """
-    if z_arg <= 0.0:
-        raise ValueError(f"z_arg must be positive, got {z_arg}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    edges = _theta_edges(z_arg, t, tol)
-    f = lambda xi: _theta_integrand(xi, z_arg, t)
-    per_panel_tol = tol / max(1, len(edges) - 1) / 4.0
-    value = 0.0
-    rule_err = 0.0
-    abs_scale = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e, s = _adaptive_panel(f, a, b, per_panel_tol)
-        value += v
-        rule_err += e
-        abs_scale += s
-    value_b, err_b = trapezoid_doubling(f, float(edges[0]), float(edges[-1]),
-                                        n0=16 * max(1, len(edges) - 1),
-                                        atol=tol / 4.0)
-    truncation = min(tol * 1e-3, 1e-18) * t
-    roundoff = _EPS * abs_scale * max(1, len(edges) - 1) + truncation
-    err = max(rule_err, abs(value - value_b)) + roundoff
-    if abs(value) < roundoff:
-        # noise around an unresolvably small positive value
-        value = 0.0
+    vals, errs = theta_batch(np.array([z_arg], dtype=float), t, tol)
+    value, err = float(vals[0]), float(errs[0])
     if value < 0.0:
-        # the exact transform is positive; negative dust is clamped and
-        # reported through the estimate
-        err += -value
+        err -= value
         value = 0.0
     return KernelResult(value=value, abs_error_estimate=err,
                         tolerance_used=tol)
 
 
-def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10,
-                order: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized theta over an array of z at one shared t.
+def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Oscillatory transform over an array of z at one shared t: the
+    integral over (0, inf) of
+    exp(-xi^2/(2t)) * exp(-z*cosh(xi)) * sinh(xi) * sin(pi*xi/t) dxi.
 
-    One node set is built from the smallest z (widest cutoff) and reused;
-    the per-z error estimate is the dual-order rule disagreement plus the
-    roundoff floor.
+    One set of half-period panels is built from the smallest z (widest
+    cutoff) and reused for every z.  The per-z error estimate is the
+    disagreement of two Gauss rules (orders 24 and 48 per panel) plus an
+    explicit roundoff floor eps * integral(|integrand|) and the truncation
+    bound.  Values below that floor are returned as 0.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise ValueError("z values must be positive")
+    if t <= 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     zmin = float(np.min(z))
     edges = _theta_edges(zmin, t, tol)
-    xs_a, ws_a = panel_nodes(edges, order)
-    xs_b, ws_b = panel_nodes(edges, 2 * order)
+    xs_a, ws_a = panel_nodes(edges, _THETA_ORDER)
+    xs_b, ws_b = panel_nodes(edges, 2 * _THETA_ORDER)
 
     def accumulate(xs, ws):
         with np.errstate(under="ignore", over="ignore"):
@@ -312,23 +270,20 @@ def _yor_prefactor_log(w, y, t):
 
 
 def yor_density(args: YorArgs, tol: float = 1e-10) -> KernelResult:
-    """Transition density value p(w, y, t), nonnegative up to quadrature dust.
-
-    Tiny negative values produced by the oscillatory quadrature are clamped
-    to 0 and the clamp magnitude is added to the error estimate.
-    """
-    th = theta(math.exp(args.w) / args.y, args.t, tol)
-    pref = math.exp(_yor_prefactor_log(args.w, args.y, args.t))
-    raw = pref * th.value
-    err = pref * th.abs_error_estimate
-    if raw < 0.0:
-        return KernelResult(0.0, err + abs(raw), tol)
-    return KernelResult(raw, err, tol)
+    """Transition density value p(w, y, t) at one point: wraps
+    :func:`yor_density_batch`, which clamps negative quadrature dust to 0
+    and adds its magnitude to the error estimate."""
+    vals, errs = yor_density_batch(np.array([args.w]), np.array([args.y]),
+                                   args.t, tol)
+    return KernelResult(float(vals[0]), float(errs[0]), tol)
 
 
 def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized density over matching arrays of (w, y) at one shared t."""
+    """Vectorized density over matching arrays of (w, y) at one shared t.
+
+    Negative quadrature dust is clamped to 0 and its magnitude added to the
+    error estimate."""
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
@@ -342,8 +297,7 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
     return np.maximum(raw, 0.0), err
 
 
-def yor_mass(t: float, tol: float = 1e-4, refine: int = 1
-             ) -> KernelResult:
+def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
     """Double integral of p(., ., t) over R x (0, inf) by panelled quadrature.
 
     Substitutes y = e^v to resolve both the essential singularity at y -> 0+
@@ -378,82 +332,42 @@ def yor_mass(t: float, tol: float = 1e-4, refine: int = 1
 
 def gamma_l1(z: EventPoint, pole: EventPoint, tol: float = 1e-10
              ) -> KernelResult:
-    """Kernel of the unit-diffusion price operator.
-
-    Transition-density reading: the value at pole (xi, eta, tau) is the
-    density of reaching (xi, eta) from (z.x, z.y) after elapsed time
-    z.t - tau.  Identically 0 on {t <= tau} union {y >= eta}: time must
-    advance and the running average can only increase.
-    """
-    if z.x <= 0.0 or pole.x <= 0.0:
-        raise ValueError("both x coordinates must be positive")
-    if z.t <= pole.t or z.y >= pole.y:
-        return KernelResult(0.0, 0.0, tol)
-    args = YorArgs(
-        w=0.5 * math.log(pole.x / z.x),
-        y=(pole.y - z.y) / (2.0 * z.x),
-        t=(z.t - pole.t) / 2.0,
-    )
-    dens = yor_density(args, tol)
-    pref = 1.0 / (4.0 * z.x * pole.x)
-    return KernelResult(pref * dens.value, pref * dens.abs_error_estimate,
-                        tol)
+    """Kernel of the unit-diffusion price operator at one evaluation point
+    and one pole: wraps :func:`gamma_l1_array`."""
+    vals, errs = gamma_l1_array(z.x, z.y, z.t, pole.x, pole.y, pole.t, tol)
+    return KernelResult(float(vals), float(errs), tol)
 
 
-def gamma_l1_batch(z: EventPoint, xi: np.ndarray, eta: np.ndarray,
-                   tau: float, tol: float = 1e-10
+def gamma_l1_array(x, y, t: float, xi, eta, tau: float, tol: float = 1e-10
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gamma_l1 over arrays of pole coordinates at one tau."""
-    if z.x <= 0.0:
-        raise ValueError("z.x must be positive")
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(xi <= 0.0):
-        raise ValueError("pole x coordinates must be positive")
-    vals = np.zeros(np.broadcast(xi, eta).shape)
-    errs = np.zeros_like(vals)
-    if z.t <= tau:
+    """Kernel of the unit-diffusion price operator, vectorized: values and
+    error estimates at evaluation points (x, y, t) for poles (xi, eta, tau).
+
+    The space coordinates x, y, xi, eta broadcast; the times t and tau are
+    scalars, because theta builds one node set per elapsed time.
+    Transition-density reading: the value is the density of reaching
+    (xi, eta) from (x, y) after elapsed time t - tau.  Identically 0 on
+    {t <= tau} union {y >= eta}: time must advance and the running average
+    can only increase.
+    """
+    x, y, xi, eta = (np.asarray(v, dtype=float) for v in (x, y, xi, eta))
+    if np.any(x <= 0.0) or np.any(xi <= 0.0):
+        raise ValueError("x coordinates of points and poles must be positive")
+    shape = np.broadcast(x, y, xi, eta).shape
+    vals = np.zeros(shape)
+    errs = np.zeros(shape)
+    if t <= tau:
         return vals, errs
-    xi_b = np.broadcast_to(xi, vals.shape)
-    eta_b = np.broadcast_to(eta, vals.shape)
-    alive = eta_b > z.y
+    x, y, xi, eta = (np.broadcast_to(v, shape) for v in (x, y, xi, eta))
+    alive = eta > y
     if np.any(alive):
-        w = 0.5 * np.log(xi_b[alive] / z.x)
-        y = (eta_b[alive] - z.y) / (2.0 * z.x)
-        dens, errd = yor_density_batch(w, y, (z.t - tau) / 2.0, tol)
-        pref = 1.0 / (4.0 * z.x * xi_b[alive])
+        xa, xia = x[alive], xi[alive]
+        dens, derr = yor_density_batch(0.5 * np.log(xia / xa),
+                                       (eta[alive] - y[alive]) / (2.0 * xa),
+                                       (t - tau) / 2.0, tol)
+        pref = 1.0 / (4.0 * xa * xia)
         vals[alive] = pref * dens
-        errs[alive] = pref * errd
-    return vals, errs
-
-
-def gamma_l1_batch_eval(xi: np.ndarray, eta: np.ndarray, tau: float,
-                        pole: EventPoint, tol: float = 1e-10
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gamma_l1 over arrays of evaluation points at one fixed pole.
-
-    The elapsed time tau - pole.t is shared, so the oscillatory integral can
-    reuse one node set across all points."""
-    if pole.x <= 0.0:
-        raise ValueError("pole.x must be positive")
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(xi <= 0.0):
-        raise ValueError("evaluation x coordinates must be positive")
-    vals = np.zeros(np.broadcast(xi, eta).shape)
-    errs = np.zeros_like(vals)
-    if tau <= pole.t:
-        return vals, errs
-    xi_b = np.broadcast_to(xi, vals.shape)
-    eta_b = np.broadcast_to(eta, vals.shape)
-    alive = eta_b < pole.y
-    if np.any(alive):
-        w = 0.5 * np.log(pole.x / xi_b[alive])
-        y = (pole.y - eta_b[alive]) / (2.0 * xi_b[alive])
-        dens, errd = yor_density_batch(w, y, (tau - pole.t) / 2.0, tol)
-        pref = 1.0 / (4.0 * xi_b[alive] * pole.x)
-        vals[alive] = pref * dens
-        errs[alive] = pref * errd
+        errs[alive] = pref * derr
     return vals, errs
 
 

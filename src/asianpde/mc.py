@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.stats import poisson
 
 __all__ = [
     "Averaging",
@@ -221,6 +220,10 @@ def fraction_within_bands(hist: Histogram2D, expected_density: np.ndarray
                           ) -> float:
     """Fraction of bins whose count falls in the central 3-sigma Poisson
     interval around the expected count implied by a reference density."""
+    # imported here: at module level scipy.stats is about half the time it
+    # takes to import the CLI, which never calls this function
+    from scipy.stats import poisson
+
     expected = np.asarray(expected_density) * hist.n_samples * hist.bin_area
     lo = poisson.ppf(0.00135, np.maximum(expected, 1e-300))
     hi = poisson.ppf(0.99865, np.maximum(expected, 1e-300))

@@ -20,7 +20,7 @@ from asianpde.fd import (CoefficientField, GridSpec, MollifierMode,
                          solve_cauchy)
 from asianpde.geometry import EventPoint, GeometryKind, compose, dist
 from asianpde.kernels import (KernelParams, gamma_k_array, gamma_k_mass,
-                              gamma_l1_batch, gamma_l1_mass, theta)
+                              gamma_l1_array, gamma_l1_mass, theta)
 from asianpde.mc import (Averaging, McConfig, ModelSpec, empirical_density,
                          fraction_within_bands, mc_price, simulate_terminal)
 from asianpde.pricing import (CauchyProblem, GammaKEvaluator, GammaLEvaluator,
@@ -143,8 +143,8 @@ def test_criterion_5_kernel_vs_mc_density():
     bins = (np.linspace(qx[0], qx[1], 51), np.linspace(qy[0], qy[1], 51))
     hist = empirical_density((samples.s, samples.a), bins)
     XX, YY = np.meshgrid(hist.x_centers, hist.y_centers, indexing="ij")
-    dens, _ = gamma_l1_batch(EventPoint(1.0, 0.0, 1.0), XX.ravel(),
-                             YY.ravel(), 0.0, 1e-8)
+    dens, _ = gamma_l1_array(1.0, 0.0, 1.0, XX.ravel(), YY.ravel(), 0.0,
+                             1e-8)
     frac = fraction_within_bands(hist, dens.reshape(XX.shape))
     elapsed = time.time() - t_start
     report(5, frac >= 0.95 and elapsed < 300.0,
@@ -284,7 +284,6 @@ def test_criterion_9_envelope_sandwich(fd_kernels):
 
     # price-family side: fitted control-value envelope vs the closed form
     from asianpde.bounds import EnvelopeConstants, gamma_l_envelope
-    from asianpde.kernels import gamma_l1_batch_eval
     pole = EventPoint(1.0, 0.0, 0.0)
     eps = 0.25
     pts = [(x, y, t)
@@ -298,8 +297,8 @@ def test_criterion_9_envelope_sandwich(fd_kernels):
     lo_l = np.empty(len(pts))
     hi_l = np.empty(len(pts))
     for k, (x, y, t) in enumerate(pts):
-        v, _ = gamma_l1_batch_eval(np.array([x]), np.array([y]), t, pole,
-                                   1e-8)
+        v, _ = gamma_l1_array(np.array([x]), np.array([y]), t,
+                              pole.x, pole.y, pole.t, 1e-8)
         target_l[k] = v[0]
         lo_l[k], hi_l[k] = gamma_l_envelope(consts0, EventPoint(x, y, t),
                                             pole)

@@ -10,7 +10,7 @@ from asianpde.bounds import (EnvelopeConstants, fit_gaussian_tail_constant,
                              integral_band_check, sandwich_violations)
 from asianpde.geometry import EventPoint
 from asianpde.kernels import (KernelParams, gamma_k, gamma_k_array,
-                              gamma_k_mass, gamma_l1_batch_eval)
+                              gamma_k_mass, gamma_l1_array)
 
 
 def test_envelope_constants_validation():
@@ -158,8 +158,8 @@ def test_gamma_l_envelope_fit_validate():
 
     target = np.empty(len(pts))
     for k, (x, y, t) in enumerate(pts):
-        vals, _ = gamma_l1_batch_eval(np.array([x]), np.array([y]), t,
-                                      pole, 1e-8)
+        vals, _ = gamma_l1_array(np.array([x]), np.array([y]), t,
+                                 pole.x, pole.y, pole.t, 1e-8)
         target[k] = vals[0]
 
     consts0 = EnvelopeConstants(lambda_minus=1.0, lambda_plus=1.0,

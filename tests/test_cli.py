@@ -215,13 +215,29 @@ def test_python_m_runs_cli(module, capsys):
     assert proc.stdout == expected
 
 
-def test_python_m_usage_error_is_one_line():
-    proc = subprocess.run(
-        [sys.executable, "-m", "asianpde", "kernel", "--kind", "k",
-         "--point", "oops", "--pole", "0,0,0"],
-        capture_output=True, text=True, env=_child_env())
+@pytest.mark.parametrize("argv, text", [
+    (["kernel", "--kind", "k", "--point", "oops", "--pole", "0,0,0"],
+     "--point"),
+    # Yor times below the reliable range of the oscillatory integral
+    (["price", "--kind", "arithmetic", "--sigma", "0.1"],
+     "below the reliable range"),
+    (["kernel", "--kind", "l", "--point", "1,0,1", "--pole", "1.2,0.8,0.95"],
+     "below the reliable range"),
+], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed"])
+def test_python_m_usage_error_is_one_line(argv, text):
+    proc = subprocess.run([sys.executable, "-m", "asianpde", *argv],
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == EXIT_USAGE
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: ") and "--point" in lines[0]
+    assert lines[0].startswith("error: ") and text in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, asianpde.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

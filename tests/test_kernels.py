@@ -1,7 +1,23 @@
 """Closed-form kernels: Gaussian family, oscillatory transform, joint density.
 
 Frozen reference values come from a 40-digit mpmath quadrature of the
-oscillatory integral, run once and pinned here.
+oscillatory integral over (0, 26) in half-period panels, run once and pinned
+here.  To regenerate them (mpmath 1.3):
+
+    from mpmath import mp, mpf, quad, exp, cosh, sinh, sin, pi, sqrt
+    mp.dps = 40
+
+    def theta(z, t):
+        z, t = mpf(z), mpf(t)
+        f = lambda s: (exp(-s**2 / (2 * t) - z * cosh(s)) * sinh(s)
+                       * sin(pi * s / t))
+        return quad(f, [k * t for k in range(int(26 / t) + 1)])
+
+    def yor(w, y, t):
+        w, y, t = mpf(w), mpf(y), mpf(t)
+        pref = (exp(pi**2 / (2 * t) - (1 + exp(2 * w)) / (2 * y) + w)
+                / (pi * sqrt(2 * pi * t) * y**2))
+        return pref * theta(exp(w) / y, t)
 """
 import math
 
@@ -12,13 +28,26 @@ from asianpde._quadrature import panel_nodes, uniform_edges
 from asianpde.geometry import EventPoint, GeometryKind, compose
 from asianpde.kernels import (KernelParams, KernelResult, ThetaConvergenceError,
                               YorArgs, gamma_k, gamma_k_array, gamma_k_mass,
-                              gamma_l1, gamma_l1_batch, gamma_l1_batch_eval,
-                              gamma_l1_mass, gamma_l_lambda, theta,
-                              theta_batch, yor_density, yor_density_batch,
-                              yor_mass)
+                              gamma_l1, gamma_l1_array, gamma_l1_mass,
+                              gamma_l_lambda, theta, theta_batch,
+                              yor_density, yor_density_batch, yor_mass)
 
 # mpmath (dps=40), integral over (0, 26) in unit half-period panels
 THETA_1_1 = 0.041857361969840540943
+# theta(z, t) at (z, t), same quadrature with panels of width t
+THETA_REF = {
+    (0.3, 1.0): 0.014270562526464072159,
+    (2.5, 1.0): 0.012753878200887462366,
+    (10.0, 1.0): 3.1526656017186870969e-6,
+    (0.5, 0.5): 6.4988389531320622617e-6,
+    (3.0, 0.8): 0.00473126573535312632,
+}
+# joint density p(w, y, 1) at (w, y)
+YOR_REF = {
+    (0.2, 0.8): 0.22430135470570092114,
+    (-1.0, 2.0): 0.0058597486379609993792,
+    (1.5, 5.0): 0.016242787507687051619,
+}
 SQRT3_OVER_2PI = math.sqrt(3.0) / (2.0 * math.pi)
 
 
@@ -129,14 +158,20 @@ def test_theta_input_validation():
         theta(1.0, -1.0)
     with pytest.raises(ValueError):
         theta(1.0, 1.0, tol=0.0)
+    # the batch rule checks its own inputs, not only the scalar wrapper
+    with pytest.raises(ValueError):
+        theta_batch(np.array([1.0]), 1.0, -1.0)
+    with pytest.raises(ValueError):
+        theta_batch(np.array([1.0]), -1.0)
 
 
-def test_theta_batch_matches_scalar():
-    zs = np.array([0.3, 1.0, 2.5, 10.0])
-    vals, errs = theta_batch(zs, 1.0, tol=1e-10)
-    for z, v, e in zip(zs, vals, errs):
-        ref = theta(float(z), 1.0, tol=1e-12)
-        assert v == pytest.approx(ref.value, abs=max(1e-14, 5 * e))
+def test_theta_batch_reference_values():
+    # one call per shared t, so points sharing t share one node set
+    for t in sorted({t for _, t in THETA_REF}):
+        zs = np.array([z for z, tt in THETA_REF if tt == t])
+        vals, errs = theta_batch(zs, t, tol=1e-10)
+        for z, v, e in zip(zs, vals, errs):
+            assert abs(v - THETA_REF[(z, t)]) <= e
 
 
 def test_kernel_result_validation():
@@ -181,11 +216,12 @@ def test_yor_mass_is_one():
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
-def test_yor_batch_matches_scalar():
-    for w, y in [(0.2, 0.8), (-1.0, 2.0), (1.5, 5.0)]:
-        ref = yor_density(YorArgs(w=w, y=y, t=1.0), tol=1e-12)
-        vals, _ = yor_density_batch(np.array([w]), np.array([y]), 1.0, 1e-12)
-        assert vals[0] == pytest.approx(ref.value, rel=1e-9, abs=1e-300)
+def test_yor_density_batch_reference_values():
+    w = np.array([w for w, _ in YOR_REF])
+    y = np.array([y for _, y in YOR_REF])
+    vals, errs = yor_density_batch(w, y, 1.0, 1e-12)
+    for ref, v, e in zip(YOR_REF.values(), vals, errs):
+        assert abs(v - ref) <= e
 
 
 # -- price-family kernel -----------------------------------------------------
@@ -229,8 +265,8 @@ def test_gamma_l1_reproduction():
     xi = np.exp(np.repeat(vn, en.size))
     eta = np.tile(en, vn.size)
     wts = np.repeat(vw, en.size) * xi * np.tile(ew, vn.size)
-    first, _ = gamma_l1_batch(z, xi, eta, tau, 1e-9)
-    second, _ = gamma_l1_batch_eval(xi, eta, tau, pole, 1e-9)
+    first, _ = gamma_l1_array(z.x, z.y, z.t, xi, eta, tau, 1e-9)
+    second, _ = gamma_l1_array(xi, eta, tau, pole.x, pole.y, pole.t, 1e-9)
     composed = float(np.dot(wts, first * second))
     assert composed == pytest.approx(direct, rel=1e-2)
     assert composed == pytest.approx(direct, rel=1e-8)
@@ -290,7 +326,8 @@ def test_gamma_l1_integral_over_evaluation_vars_approaches_one():
         xi = np.exp(np.repeat(vn, en.size))
         eta = np.tile(en, vn.size)
         wts = np.repeat(vw, en.size) * xi * np.tile(ew, vn.size)
-        vals, _ = gamma_l1_batch_eval(xi, eta, dt, pole, 1e-8)
+        vals, _ = gamma_l1_array(xi, eta, dt, pole.x, pole.y, pole.t,
+                                 1e-8)
         cbars.append(float(np.dot(wts, vals)))
     gaps = [abs(c - 1.0) for c in cbars]
     assert all(c > 0.0 for c in cbars)
