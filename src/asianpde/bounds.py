@@ -1,79 +1,30 @@
 """Two-sided kernel envelopes and integral band checks.
 
-The theory only asserts that sandwich constants exist, so the exponential
-rate constants are frozen up front and the multiplicative constants are
-fitted as ratio extrema on a training grid, then validated on a disjoint
-grid.  Envelope evaluation never clamps: violations are the caller's to
-count.
+The theory only asserts that sandwich constants exist.  The price-family
+envelope fixes its exponential rates as module constants; the
+multiplicative constants are fitted as ratio extrema on a training grid,
+then validated on a disjoint grid.  Envelope evaluation never clamps:
+violations are the caller's to count.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .control import ControlEndpoints, psi
 from .geometry import EventPoint
-from .kernels import KernelParams, gamma_k
 
 __all__ = [
-    "EnvelopeConstants",
-    "gamma_k_envelope",
     "integral_band_check",
-    "gaussian_tail_envelope",
     "gamma_l_envelope",
     "fit_multiplicative_constants",
-    "fit_gaussian_tail_constant",
     "sandwich_violations",
 ]
 
-
-@dataclass(frozen=True)
-class EnvelopeConstants:
-    """Frozen constants of a two-sided kernel envelope.
-
-    lambda_minus/lambda_plus are the comparison diffusion constants of the
-    Gaussian envelopes (log-price family); exp_lower/exp_upper multiply the
-    control value inside the exponentials (price family); c_minus/c_plus are
-    the fitted multiplicative constants.  epsilon shifts the control-value
-    arguments away from the support boundary; Lambda and horizon carry the
-    coefficient bound and the time-window length the constants were fitted
-    for.
-    """
-
-    lambda_minus: float
-    lambda_plus: float
-    c_minus: float
-    c_plus: float
-    epsilon: float = 0.25
-    Lambda: float = 1.0
-    horizon: float = 1.0
-    exp_lower: float = 0.3
-    exp_upper: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lambda_minus <= self.lambda_plus):
-            raise ValueError("need 0 < lambda_minus <= lambda_plus")
-        if self.c_minus <= 0.0 or self.c_plus <= 0.0:
-            raise ValueError("multiplicative constants must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
-def gamma_k_envelope(consts: EnvelopeConstants, z: EventPoint,
-                     pole: EventPoint) -> tuple[float, float]:
-    """Candidate sandwich c_minus * G^{lam-} <= Gamma <= c_plus * G^{lam+}.
-
-    Returned as-is: the lower/upper pair need not be ordered pointwise;
-    only the sandwich against an actual kernel is meaningful.  Both are 0
-    on t <= tau.
-    """
-    lower = consts.c_minus * gamma_k(KernelParams(consts.lambda_minus),
-                                     z, pole)
-    upper = consts.c_plus * gamma_k(KernelParams(consts.lambda_plus),
-                                    z, pole)
-    return lower, upper
+# rates multiplying the control value inside the price-family exponentials
+_LOWER_RATE = 0.3
+_UPPER_RATE = 0.2
 
 
 def integral_band_check(kernel_integral: float, Lambda: float, dt: float,
@@ -87,49 +38,31 @@ def integral_band_check(kernel_integral: float, Lambda: float, dt: float,
             <= math.exp(Lambda * dt) + tol)
 
 
-def gaussian_tail_envelope(z: EventPoint, pole_time: float, C_bar: float,
-                           R0: float, probe: EventPoint) -> float:
-    """Far-field Gaussian dominator C * exp(-C*(xi^2+eta^2)/(t-tau)).
-
-    probe carries the pole coordinates (xi, eta, tau); only valid outside
-    the ball of radius R0 and for pole_time < tau < z.t.
-    """
-    if C_bar <= 0.0 or R0 <= 0.0:
-        raise ValueError("C_bar and R0 must be positive")
-    rad2 = probe.x**2 + probe.y**2
-    if rad2 < R0**2:
-        raise ValueError(
-            f"probe radius {math.sqrt(rad2):.3f} inside R0={R0}"
-        )
-    if not pole_time < probe.t < z.t:
-        raise ValueError("need pole_time < probe.t < z.t")
-    return C_bar * math.exp(-C_bar * rad2 / (z.t - probe.t))
-
-
-def gamma_l_envelope(consts: EnvelopeConstants, z: EventPoint,
-                     pole: EventPoint) -> tuple[float, float]:
-    """Control-value envelope for the price-family kernel.
+def gamma_l_envelope(z: EventPoint, pole: EventPoint, epsilon: float
+                     ) -> tuple[float, float]:
+    """Unscaled control-value envelope for the price-family kernel.
 
     lower uses the shifted start (x, y + x0*eps*(t-t0), t - eps*(t-t0)),
     upper the start (x, y - x0*eps, t + eps) — note the bare eps in the
     upper shift.  Support region y >= y0 returns (0, 0); starts pushed past
-    the admissible cone raise through the control module.
+    the admissible cone raise through the control module.  The caller fits
+    the multiplicative constants.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     if z.x <= 0.0 or pole.x <= 0.0:
         raise ValueError("x coordinates must be positive")
     if z.y >= pole.y or z.t <= pole.t:
         return 0.0, 0.0
-    eps = consts.epsilon
     dt = z.t - pole.t
     x0 = pole.x
     pref = 1.0 / (x0**2 * dt**2)
-    lower_start = EventPoint(z.x, z.y + x0 * eps * dt, z.t - eps * dt)
-    upper_start = EventPoint(z.x, z.y - x0 * eps, z.t + eps)
+    lower_start = EventPoint(z.x, z.y + x0 * epsilon * dt, z.t - epsilon * dt)
+    upper_start = EventPoint(z.x, z.y - x0 * epsilon, z.t + epsilon)
     psi_lo = psi(ControlEndpoints(start=lower_start, end=pole)).cost
     psi_hi = psi(ControlEndpoints(start=upper_start, end=pole)).cost
-    lower = consts.c_minus * pref * math.exp(-consts.exp_lower * psi_lo)
-    upper = consts.c_plus * pref * math.exp(-consts.exp_upper * psi_hi)
-    return lower, upper
+    return (pref * math.exp(-_LOWER_RATE * psi_lo),
+            pref * math.exp(-_UPPER_RATE * psi_hi))
 
 
 def fit_multiplicative_constants(target: np.ndarray,
@@ -153,35 +86,6 @@ def fit_multiplicative_constants(target: np.ndarray,
     c_minus = (1.0 - slack) * float(np.min(target[mask] / lo[mask]))
     c_plus = (1.0 + slack) * float(np.max(target[mask] / hi[mask]))
     return c_minus, c_plus
-
-
-def fit_gaussian_tail_constant(kernel_values: np.ndarray,
-                               radii_sq: np.ndarray,
-                               dts: np.ndarray,
-                               slack: float = 0.1) -> float:
-    """Largest C with C*exp(-C*r^2/dt) >= kernel on the training far field,
-    shrunk by `slack`; found by bisection (the bound decreases in C there)."""
-    kernel_values = np.asarray(kernel_values, float)
-    radii_sq = np.asarray(radii_sq, float)
-    dts = np.asarray(dts, float)
-
-    def holds(c: float) -> bool:
-        bound = c * np.exp(-c * radii_sq / dts)
-        return bool(np.all(bound >= kernel_values))
-
-    lo = 1e-8
-    if not holds(lo):
-        raise ValueError("no Gaussian tail constant bounds the training set")
-    hi = 1.0
-    while holds(hi) and hi < 1e8:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 - slack) * lo
 
 
 def sandwich_violations(target: np.ndarray, lower: np.ndarray,

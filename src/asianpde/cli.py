@@ -29,10 +29,9 @@ from .kernels import (KernelParams, ThetaConvergenceError, gamma_k,
                       gamma_k_array, gamma_k_mass, gamma_l1, gamma_l1_mass,
                       gamma_l_lambda)
 from .mc import Averaging, McConfig, ModelSpec, mc_price, simulate_terminal
-from .pricing import (GammaKEvaluator, GammaLEvaluator, GrowthBound,
-                      PricingSpec, arithmetic_call_payoff,
-                      geometric_call_payoff, make_arithmetic_problem, price,
-                      transform_geometric)
+from .pricing import (GrowthBound, PricingSpec, ToleranceNotMetError,
+                      arithmetic_call_payoff, geometric_call_payoff,
+                      make_arithmetic_problem, price, transform_geometric)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,7 +154,6 @@ def _cmd_price(args) -> int:
                            kink_lines=(T * math.log(strike),))
         problem = transform_geometric(spec, sigma, rate)
         point = EventPoint(math.log(args.spot), 0.0, T)
-        evaluator = GammaKEvaluator(lam)
         model = ModelSpec(mu=rate - lam, sigma=sigma, r=rate,
                           averaging=Averaging.GEOMETRIC)
     else:
@@ -167,11 +165,10 @@ def _cmd_price(args) -> int:
                            kink_lines=(T * strike,))
         problem = make_arithmetic_problem(spec)
         point = EventPoint(args.spot, 0.0, T)
-        evaluator = GammaLEvaluator(lam)
         model = ModelSpec(mu=0.0, sigma=sigma, r=0.0,
                           averaging=Averaging.ARITHMETIC)
     if args.method == "kernel":
-        res = price(evaluator, problem, point, tol=args.tol)
+        res = price(problem, point, tol=args.tol)
         est, err = res.value, res.abs_error_estimate
     else:
         cfg = McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
@@ -400,7 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fd-solve", help="finite-difference kernel slice to "
                                          "a binary grid file")
-    sp.add_argument("--kind", choices=["k", "l"], default="k")
+    sp.add_argument("--kind", choices=["k", "l"], default="k",
+                    help="the grid and pole defaults are for k; a working "
+                         "l call is --kind l --pole 1,0,0 --xrange=-2,1.5 "
+                         "--yrange=-2.5,1.0")
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--xrange", default="-4,4")
     sp.add_argument("--yrange", default="-1.2,1.2")
@@ -456,7 +456,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ValueError, OSError, ThetaConvergenceError) as exc:
+    except (ValueError, OSError, ThetaConvergenceError,
+            ToleranceNotMetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .geometry import EventPoint, GeometryKind, compose, inverse
 
@@ -122,6 +121,10 @@ def g_inverse(s: float, tol: float = 1e-12) -> float:
     The bracket is grown geometrically on the right and shrunk geometrically
     toward -pi^2 on the left; s -> 0+ maps to r -> -pi^2 without overflow.
     """
+    # imported here: scipy.optimize is most of the time it takes to import
+    # the CLI, and only this function and psi_bruteforce use it
+    from scipy.optimize import brentq
+
     if s <= 0.0:
         raise ValueError(f"g_inverse requires s > 0, got {s}")
     if s == 1.0:
@@ -269,6 +272,8 @@ def psi_bruteforce(
     intervals; raises NonConvergenceError if the projected residual exceeds
     residual_tol.
     """
+    from scipy.optimize import minimize
+
     if n_steps < 8:
         raise ValueError("need n_steps >= 8")
     x1, y1 = endpoints.start.x, endpoints.start.y

@@ -9,7 +9,7 @@ transport speed becomes e^w; the degenerate x -> 0 edge maps to w -> -inf
 and is truncated with outflow conditions.
 
 Grid functions serialize as flat binary arrays with a short header plus a
-JSON sidecar; slices export as CSV.
+JSON sidecar.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import math
 import struct
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,17 +33,13 @@ __all__ = [
     "CflError",
     "GridMismatchError",
     "Solution",
-    "ReproductionReport",
     "mollify",
     "apply_operator",
     "solve_cauchy",
     "approximate_fundamental_solution",
-    "adjoint_kernel_slice",
-    "reproduction_check",
     "delta_approximant",
     "save_grid",
     "load_grid",
-    "export_slice_csv",
 ]
 
 
@@ -80,7 +76,6 @@ class CoefficientField:
     lam: float
     Lam: float
     kind: GeometryKind = GeometryKind.K
-    holder_alpha: float = 1.0
     time_independent: bool = True
 
     def __post_init__(self) -> None:
@@ -254,7 +249,6 @@ def mollify(field: CoefficientField, spec: MollifierSpec,
 
         out = CoefficientField(a=a_n, b=b_n, r=r_n, lam=field.lam,
                                Lam=field.Lam, kind=field.kind,
-                               holder_alpha=field.holder_alpha,
                                time_independent=field.time_independent)
     else:
         nodes, weights = _bump_nodes()
@@ -276,7 +270,6 @@ def mollify(field: CoefficientField, spec: MollifierSpec,
         out = CoefficientField(a=convolve(field.a), b=convolve(field.b),
                                r=convolve(field.r), lam=field.lam,
                                Lam=field.Lam, kind=field.kind,
-                               holder_alpha=field.holder_alpha,
                                time_independent=field.time_independent)
     if check_grid is not None:
         out.check_bounds(check_grid.physical_x(check_grid.xs), check_grid.ys,
@@ -315,36 +308,27 @@ def _transport_apply(u, speed, dy, scheme: str):
 
 
 def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
-                   t: float, mode: str = "primal",
-                   transport: str = "upwind") -> np.ndarray:
-    """Spatial part of the operator (or its formal adjoint) on a grid slice.
+                   t: float, transport: str = "upwind") -> np.ndarray:
+    """Spatial part of the operator on a grid slice.
 
-    The full operator is spatial_part(u) - du/dt (primal) or
-    spatial_part(u) + du/dt (adjoint); time differencing is the caller's
-    business.  Valid on the interior only: the one-cell halo of the result
-    is zeroed.  transport='central' replaces the upwind difference with the
-    second-order central one (used by residual/order tests).
+    The full operator is spatial_part(u) - du/dt; time differencing is the
+    caller's business.  Valid on the interior only: the one-cell halo of
+    the result is zeroed.  transport='central' replaces the upwind
+    difference with the second-order central one (used by residual/order
+    tests).
     """
     if u.shape != (grid.nx, grid.ny):
         raise GridMismatchError(
             f"grid function shape {u.shape} != {(grid.nx, grid.ny)}"
         )
-    if mode not in ("primal", "adjoint"):
-        raise ValueError(f"unknown mode {mode!r}")
     a_half, b_full, r_full = _coef_arrays(field, grid, t)
     speed = grid.transport_speed(grid.xs)
     dx, dy = grid.dx, grid.dy
     out = np.zeros_like(u)
     flux = a_half * (u[1:, :] - u[:-1, :]) / dx
     out[1:-1, :] = (flux[1:, :] - flux[:-1, :]) / dx
-    if mode == "primal":
-        out[1:-1, :] += b_full[1:-1, :] * (u[2:, :] - u[:-2, :]) / (2.0 * dx)
-        out += _transport_apply(u, speed, dy, transport)
-    else:
-        bu = b_full * u
-        out[1:-1, :] -= (bu[2:, :] - bu[:-2, :]) / (2.0 * dx)
-        # the adjoint advects with the opposite velocity
-        out += _transport_apply(u, -speed, dy, transport)
+    out[1:-1, :] += b_full[1:-1, :] * (u[2:, :] - u[:-2, :]) / (2.0 * dx)
+    out += _transport_apply(u, speed, dy, transport)
     out -= r_full * u
     out[0, :] = out[-1, :] = 0.0
     out[:, 0] = out[:, -1] = 0.0
@@ -355,6 +339,7 @@ def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
 # Time stepping
 # ---------------------------------------------------------------------------
 
+# the one scheme solve_cauchy runs, recorded in the grid sidecar
 DEFAULT_SCHEME = {
     "splitting": "lie",
     "diffusion": "implicit_euler",
@@ -371,7 +356,6 @@ class Solution:
     frames: np.ndarray            # (n_stored, nx, ny)
     mass_history: np.ndarray      # discrete integral after each step
     transport_leakage: np.ndarray  # mass lost at y edges, per step
-    scheme: dict
 
     @property
     def final(self) -> np.ndarray:
@@ -382,7 +366,7 @@ class _Tridiag:
     """Batched Thomas solver for (I - dt*D) with D the implicit x-operator."""
 
     def __init__(self, field: CoefficientField, grid: GridSpec, t: float,
-                 dt: float, adjoint: bool = False) -> None:
+                 dt: float) -> None:
         a_half, b_full, r_full = _coef_arrays(field, grid, t)
         nx, ny = grid.nx, grid.ny
         dx = grid.dx
@@ -400,12 +384,8 @@ class _Tridiag:
         diag[0, :] += dt * a_half[0, :] / dx**2
         lower[-1, :] = -dt * a_half[-1, :] / dx**2
         diag[-1, :] += dt * a_half[-1, :] / dx**2
-        if not adjoint:
-            lower[1:-1, :] += dt * b_full[1:-1, :] / (2.0 * dx)
-            upper[1:-1, :] += -dt * b_full[1:-1, :] / (2.0 * dx)
-        else:
-            lower[1:-1, :] += -dt * b_full[:-2, :] / (2.0 * dx)
-            upper[1:-1, :] += dt * b_full[2:, :] / (2.0 * dx)
+        lower[1:-1, :] += dt * b_full[1:-1, :] / (2.0 * dx)
+        upper[1:-1, :] += -dt * b_full[1:-1, :] / (2.0 * dx)
         diag += dt * r_full
         self._factorize(lower, diag, upper)
 
@@ -431,8 +411,7 @@ class _Tridiag:
 
 
 def solve_cauchy(field: CoefficientField, initial: np.ndarray,
-                 grid: GridSpec, scheme: dict | None = None,
-                 store: str = "all", adjoint: bool = False) -> Solution:
+                 grid: GridSpec, store: str = "all") -> Solution:
     """March the Cauchy problem from the initial slice to the final time.
 
     Lie splitting: explicit upwind transport in y (monotone under the CFL
@@ -448,12 +427,9 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         raise CflError(
             f"transport CFL ratio {grid.cfl_ratio:.3f} > 1; refine dt or dy"
         )
-    scheme = {**DEFAULT_SCHEME, **(scheme or {})}
     dt = grid.dt
     speed = grid.transport_speed(grid.xs)
     nu = speed * dt / grid.dy
-    if adjoint:
-        nu = -nu  # adjoint advects the other way
     ts = grid.ts
     area = grid.cell_area
 
@@ -477,7 +453,7 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         leakage.append(float(u.sum() * area - before))
         # diffusion substep (implicit)
         if solver is None or not field.time_independent:
-            solver = _Tridiag(field, grid, ts[n + 1], dt, adjoint=adjoint)
+            solver = _Tridiag(field, grid, ts[n + 1], dt)
         u = solver.solve(u)
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"solver produced non-finite values at step {n}")
@@ -488,7 +464,7 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     times = ts if store == "all" else ts[-1:]
     return Solution(grid=grid, times=times, frames=frames_arr,
                     mass_history=np.array(mass),
-                    transport_leakage=np.array(leakage), scheme=scheme)
+                    transport_leakage=np.array(leakage))
 
 
 def delta_approximant(grid: GridSpec, x0: float, y0: float,
@@ -515,6 +491,8 @@ def approximate_fundamental_solution(field: CoefficientField,
     The pole must sit inside the spatial grid and at the grid's initial
     time; for the price family the pole price is mapped to log coordinates.
     """
+    if grid.kind is GeometryKind.L and pole.x <= 0.0:
+        raise ValueError(f"price-family pole needs x > 0, got {pole.x!r}")
     x0 = math.log(pole.x) if grid.kind is GeometryKind.L else pole.x
     if not (grid.x_range[0] < x0 < grid.x_range[1]
             and grid.y_range[0] < pole.y < grid.y_range[1]):
@@ -523,66 +501,6 @@ def approximate_fundamental_solution(field: CoefficientField,
         raise ValueError("grid must start at the pole time")
     initial = delta_approximant(grid, x0, pole.y, delta_width)
     return solve_cauchy(field, initial, grid, store=store)
-
-
-def adjoint_kernel_slice(field: CoefficientField, point: EventPoint,
-                         grid: GridSpec) -> np.ndarray:
-    """Kernel of the primal operator in its pole variables,
-    Gamma(point; xi, eta, t0) for all grid (xi, eta).
-
-    Computed as one adjoint solve from a delta at the evaluation point,
-    marched from point.t down to the grid's initial time.
-    """
-    x0 = math.log(point.x) if grid.kind is GeometryKind.L else point.x
-    if abs(point.t - grid.t_range[1]) > 1e-12:
-        raise ValueError("grid must end at the evaluation time")
-    initial = delta_approximant(grid, x0, point.y, 3.0)
-    sol = solve_cauchy(field, initial, grid, store="final", adjoint=True)
-    return sol.final
-
-
-@dataclass(frozen=True)
-class ReproductionReport:
-    l1: float
-    linf: float
-    rel_l1: float
-    composed: np.ndarray
-
-
-def reproduction_check(kernel_t0_to_tau: np.ndarray,
-                       kernel_tau_to_t,
-                       direct: np.ndarray,
-                       grid: GridSpec) -> ReproductionReport:
-    """Discrete composition through the intermediate time versus direct.
-
-    kernel_t0_to_tau: slice over (xi, eta) of the kernel with the original
-    pole.  kernel_tau_to_t: either a 4D array [x, y, xi, eta] or a callable
-    (x, y) -> 2D array over (xi, eta).  The composition integral is the
-    cell-area-weighted contraction over (xi, eta).
-    """
-    if kernel_t0_to_tau.shape != (grid.nx, grid.ny) \
-            or direct.shape != (grid.nx, grid.ny):
-        raise GridMismatchError("slices must match the grid shape")
-    area = grid.cell_area
-    if isinstance(kernel_tau_to_t, np.ndarray):
-        if kernel_tau_to_t.shape != (grid.nx, grid.ny, grid.nx, grid.ny):
-            raise GridMismatchError("4D kernel has wrong shape")
-        composed = np.einsum("ijkl,kl->ij", kernel_tau_to_t,
-                             kernel_t0_to_tau) * area
-    else:
-        composed = np.empty((grid.nx, grid.ny))
-        for i, x in enumerate(grid.xs):
-            for j, y in enumerate(grid.ys):
-                composed[i, j] = np.sum(
-                    kernel_tau_to_t(x, y) * kernel_t0_to_tau
-                ) * area
-    diff = composed - direct
-    l1 = float(np.sum(np.abs(diff)) * area)
-    ref = float(np.sum(np.abs(direct)) * area)
-    return ReproductionReport(
-        l1=l1, linf=float(np.max(np.abs(diff))),
-        rel_l1=l1 / ref if ref > 0 else math.inf, composed=composed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +527,7 @@ def save_grid(sol: Solution, path: str) -> None:
         "n_frames": int(sol.frames.shape[0]),
         "x_range": list(g.x_range), "y_range": list(g.y_range),
         "t_range": list(g.t_range), "kind": g.kind.value,
-        "scheme": sol.scheme,
+        "scheme": DEFAULT_SCHEME,
         "times": [float(t) for t in sol.times],
     }
     with open(path + ".meta.json", "w") as fh:
@@ -630,11 +548,3 @@ def load_grid(path: str) -> tuple[np.ndarray, dict]:
             "endianness": endian.decode(), "version": version}
     return frames.copy(), info
 
-
-def export_slice_csv(sol: Solution, frame: int, path: str) -> None:
-    g = sol.grid
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i, x in enumerate(g.xs):
-            for j, y in enumerate(g.ys):
-                fh.write(f"{x!r},{y!r},{sol.frames[frame, i, j]!r}\n")

@@ -18,7 +18,6 @@ from .geometry import EventPoint
 __all__ = [
     "KernelParams",
     "KernelResult",
-    "YorArgs",
     "ThetaConvergenceError",
     "THETA_MIN_TIME",
     "gamma_k",
@@ -26,7 +25,6 @@ __all__ = [
     "gamma_k_mass",
     "theta",
     "theta_batch",
-    "yor_density",
     "yor_density_batch",
     "yor_mass",
     "gamma_l1",
@@ -70,22 +68,6 @@ class KernelResult:
     def __post_init__(self) -> None:
         if self.value < 0.0 or self.abs_error_estimate < 0.0:
             raise ValueError("kernel value and error estimate must be >= 0")
-
-
-@dataclass(frozen=True)
-class YorArgs:
-    """Arguments of the joint density p(w, y, t): log coordinate w over R,
-    integrated exponential y > 0, elapsed time t > 0."""
-
-    w: float
-    y: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.y <= 0.0:
-            raise ValueError(f"y must be positive, got {self.y}")
-        if self.t <= 0.0:
-            raise ValueError(f"t must be positive, got {self.t}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +249,6 @@ def _yor_prefactor_log(w, y, t):
             - math.log(math.pi) - 0.5 * math.log(2.0 * math.pi * t)
             - (1.0 + np.exp(2.0 * np.minimum(w, 350.0))) / (2.0 * y)
             + w - 2.0 * np.log(y))
-
-
-def yor_density(args: YorArgs, tol: float = 1e-10) -> KernelResult:
-    """Transition density value p(w, y, t) at one point: wraps
-    :func:`yor_density_batch`, which clamps negative quadrature dust to 0
-    and adds its magnitude to the error estimate."""
-    vals, errs = yor_density_batch(np.array([args.w]), np.array([args.y]),
-                                   args.t, tol)
-    return KernelResult(float(vals[0]), float(errs[0]), tol)
 
 
 def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,

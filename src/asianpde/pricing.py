@@ -1,11 +1,13 @@
 """Cauchy-problem transforms and representation-formula pricing.
 
-Prices come from integrating a kernel against the transformed payoff; the
-quadrature is carried out in kernel-adapted coordinates (standardized
-Gaussian variables for the log-price family, density coordinates for the
-price family), with panel edges inserted at payoff kinks and truncation
-radii chosen so the discarded envelope mass times the growth bound stays
-below the requested tolerance.
+A problem carries its payoff spec and constant coefficients (r, lambda);
+`price` integrates the fundamental solution of the problem's family against
+the transformed payoff, u = integral of Gamma * phi.  The quadrature is
+carried out in kernel-adapted coordinates (standardized Gaussian variables
+for the log-price family, density coordinates for the price family), with
+panel edges inserted at payoff kinks and truncation radii chosen so the
+discarded envelope mass times the growth bound stays below the requested
+tolerance.  A price whose error estimate misses the tolerance is refused.
 """
 from __future__ import annotations
 
@@ -14,13 +16,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._quadrature import panel_nodes
-from .fd import CoefficientField, GridSpec
+from .fd import CoefficientField
 from .geometry import EventPoint, GeometryKind
-from .kernels import (KernelParams, KernelResult, gamma_k_array,
-                      yor_density_batch)
+from .kernels import KernelParams, KernelResult, yor_density_batch
 from .mc import Averaging
 
 __all__ = [
@@ -29,15 +29,9 @@ __all__ = [
     "CauchyProblem",
     "GrowthViolationError",
     "MaturityLimitError",
-    "GammaKEvaluator",
-    "GammaLEvaluator",
-    "GridKernelEvaluator",
+    "ToleranceNotMetError",
     "transform_geometric",
-    "untransform_geometric",
     "make_arithmetic_problem",
-    "constant_coeff_shift",
-    "inverse_constant_coeff_shift",
-    "zero_order_rescale",
     "growth_check",
     "price",
     "geometric_call_payoff",
@@ -51,6 +45,10 @@ class GrowthViolationError(ValueError):
 
 class MaturityLimitError(ValueError):
     """Quadratic-exponent payoffs only admit a short maturity."""
+
+
+class ToleranceNotMetError(RuntimeError):
+    """The price's error estimate exceeds the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class CauchyProblem:
     kind: GeometryKind
     t0: float = 0.0
     spec: PricingSpec | None = None
-    constant_coeffs: tuple[float, float] | None = None   # (r, sigma)
+    constant_coeffs: tuple[float, float] | None = None   # (r, lambda)
 
 
 def geometric_call_payoff(strike: float, maturity: float) -> Callable:
@@ -165,23 +163,16 @@ def transform_geometric(spec: PricingSpec, sigma, r) -> CauchyProblem:
 
     cc = None
     if not callable(sigma) and not callable(r):
-        cc = (float(r), float(sigma))
+        cc = (float(r), 0.5 * float(sigma) * float(sigma))
     return CauchyProblem(field=fld, initial=initial, kind=GeometryKind.K,
                          spec=spec, constant_coeffs=cc)
-
-
-def untransform_geometric(v: Callable, maturity: float) -> Callable:
-    """Recover the original price function Z(S, A, t) = v(log S, A, T - t)."""
-    def Z(s, a, t):
-        return v(np.log(np.asarray(s, float)), a, maturity - np.asarray(t))
-    return Z
 
 
 def make_arithmetic_problem(spec: PricingSpec) -> CauchyProblem:
     """Price-family problem; no change of variables, payoff used directly."""
     if spec.kind is not Averaging.ARITHMETIC:
         raise ValueError("needs an arithmetic-kind spec")
-    lam = 0.5 * spec.sigma**2
+    lam = 0.5 * spec.sigma * spec.sigma
     fld = CoefficientField(a=lam, b=0.0, r=0.0, lam=lam, Lam=max(lam, 1.0),
                            kind=GeometryKind.L)
     payoff = spec.payoff
@@ -190,68 +181,7 @@ def make_arithmetic_problem(spec: PricingSpec) -> CauchyProblem:
         return payoff(x, y)
 
     return CauchyProblem(field=fld, initial=initial, kind=GeometryKind.L,
-                         spec=spec, constant_coeffs=(0.0, spec.sigma))
-
-
-def constant_coeff_shift(v_values: Callable, r: float, sigma: float
-                         ) -> Callable:
-    """Map a solution of the constant-coefficient log-price problem onto a
-    solution of the drift-free model operator.
-
-    u(x, y, t) = e^{rt} v(x + (lam - r) t, y + (r - lam) t^2 / 2, t) with
-    lam = sigma^2/2.  The quadratic y-shift keeps the one-way transport
-    term consistent with the shifted x; without it the residual is
-    proportional to (lam - r) t.  Exact inverse: inverse_constant_coeff_shift.
-    """
-    lam = 0.5 * sigma**2
-
-    def u(x, y, t):
-        t = np.asarray(t, float)
-        return np.exp(r * t) * v_values(
-            np.asarray(x, float) + (lam - r) * t,
-            np.asarray(y, float) + (r - lam) * t**2 / 2.0,
-            t,
-        )
-    return u
-
-
-def inverse_constant_coeff_shift(u_values: Callable, r: float, sigma: float
-                                 ) -> Callable:
-    lam = 0.5 * sigma**2
-
-    def v(x, y, t):
-        t = np.asarray(t, float)
-        return np.exp(-r * t) * u_values(
-            np.asarray(x, float) - (lam - r) * t,
-            np.asarray(y, float) - (r - lam) * t**2 / 2.0,
-            t,
-        )
-    return v
-
-
-def zero_order_rescale(u_values: Callable, r_of_t: Callable, t0: float
-                       ) -> Callable:
-    """Discount by the accumulated time-only rate: v = e^{-R(t)} u with
-    R(t) the integral of r from t0 to t (adaptive quadrature, cached).
-
-    If u solves the rate-free equation then v solves the equation with the
-    zero-order term -r(t)v; the minus sign in the exponent is what makes
-    the residual of (operator - r) vanish, cf. the discounting convention.
-    """
-    cache: dict[float, float] = {}
-
-    def R(t: float) -> float:
-        if t not in cache:
-            cache[t], _ = quad(r_of_t, t0, t)
-        return cache[t]
-
-    def v(x, y, t):
-        tt = np.asarray(t, float)
-        if tt.ndim == 0:
-            return math.exp(-R(float(tt))) * u_values(x, y, t)
-        scale = np.array([math.exp(-R(float(s))) for s in tt.ravel()])
-        return scale.reshape(tt.shape) * u_values(x, y, t)
-    return v
+                         spec=spec, constant_coeffs=(0.0, lam))
 
 
 def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
@@ -271,36 +201,8 @@ def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Kernel evaluators
+# Representation formula
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaKEvaluator:
-    """Closed-form Gaussian kernel of the log-price model operator."""
-
-    lambda_: float
-
-    def __post_init__(self) -> None:
-        KernelParams(self.lambda_)
-
-
-@dataclass(frozen=True)
-class GammaLEvaluator:
-    """Closed-form price-family kernel (diffusive rescaling of unit case)."""
-
-    lambda_: float
-
-    def __post_init__(self) -> None:
-        KernelParams(self.lambda_)
-
-
-@dataclass(frozen=True)
-class GridKernelEvaluator:
-    """Kernel slice over the pole variables, from an adjoint FD solve."""
-
-    slice_values: np.ndarray
-    grid: GridSpec
-
 
 def _edges_with_kinks(lo: float, hi: float, width: float,
                       kinks: Sequence[float]) -> np.ndarray:
@@ -332,22 +234,18 @@ def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
     )
 
 
-def _price_gamma_k(evaluator: GammaKEvaluator, problem: CauchyProblem,
-                   point: EventPoint, tol: float) -> KernelResult:
-    lam = evaluator.lambda_
+def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
+                   lam: float, tol: float) -> KernelResult:
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t - problem.t0
     if dt <= 0.0:
         raise ValueError("evaluation time must exceed the initial time")
-    discount = 1.0
-    if problem.constant_coeffs is not None:
-        r, _sigma = problem.constant_coeffs
-        # shift onto the drift-free model operator, discount at the end
-        x = x + (r - lam) * dt
-        y = y + (lam - r) * dt**2 / 2.0
-        discount = math.exp(-r * dt)
+    # shift onto the drift-free model operator, discount at the end
+    x = x + (r - lam) * dt
+    y = y + (lam - r) * dt**2 / 2.0
+    discount = math.exp(-r * dt)
 
-    growth = spec.growth if spec is not None else GrowthBound(1.0, 1.0, 1.0)
+    growth = spec.growth
     if growth.alpha >= 2.0:
         limit = 1.0 / (8.0 * growth.C * lam)
         if dt > limit:
@@ -361,7 +259,7 @@ def _price_gamma_k(evaluator: GammaKEvaluator, problem: CauchyProblem,
     slope = math.hypot(sx, sy) * (1.0 + dt)
     L = _truncation_radius(growth, offset, slope, tol)
 
-    kinks = spec.kink_lines if spec is not None else ()
+    kinks = spec.kink_lines
     phi = problem.initial
 
     def integrate(order: int, width: float) -> float:
@@ -391,9 +289,8 @@ def _price_gamma_k(evaluator: GammaKEvaluator, problem: CauchyProblem,
                         tolerance_used=tol)
 
 
-def _price_gamma_l(evaluator: GammaLEvaluator, problem: CauchyProblem,
-                   point: EventPoint, tol: float) -> KernelResult:
-    lam = evaluator.lambda_
+def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
+                   tol: float) -> KernelResult:
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t - problem.t0
     if x <= 0.0:
@@ -404,9 +301,8 @@ def _price_gamma_l(evaluator: GammaLEvaluator, problem: CauchyProblem,
     phi = problem.initial
     w_half = 8.0 * math.sqrt(t_yor) + 3.0
     v_lo, v_hi = -9.0, 13.0 * math.sqrt(t_yor) + 4.0
-    kinks = spec.kink_lines if spec is not None else ()
     v_kinks = []
-    for k in kinks:
+    for k in spec.kink_lines:
         u_k = lam * (k - y) / (2.0 * x)
         if u_k > 0.0:
             v_kinks.append(math.log(u_k))
@@ -436,49 +332,45 @@ def _price_gamma_l(evaluator: GammaLEvaluator, problem: CauchyProblem,
                         tolerance_used=tol)
 
 
-def _price_grid(evaluator: GridKernelEvaluator, problem: CauchyProblem,
-                point: EventPoint, tol: float) -> KernelResult:
-    g = evaluator.grid
-    X, Y = np.meshgrid(g.physical_x(g.xs), g.ys, indexing="ij")
-    payoff_vals = np.asarray(problem.initial(X, Y), float)
-    jac = np.ones_like(X)
-    if g.kind is GeometryKind.L:
-        jac = X  # d(xi) = e^w dw on the log grid
-    value = float(np.sum(evaluator.slice_values * payoff_vals * jac)
-                  * g.cell_area)
-    err = tol / 10.0 + abs(value) * 1e-6
-    if value < 0.0:
-        err += -value
-        value = 0.0
-    return KernelResult(value=value, abs_error_estimate=err,
-                        tolerance_used=tol)
-
-
-def price(kernel, problem: CauchyProblem, point: EventPoint,
+def price(problem: CauchyProblem, point: EventPoint,
           tol: float = 1e-6) -> KernelResult:
     """Representation-formula price: kernel integrated against the payoff.
 
-    The payoff must satisfy the problem's declared growth bound (checked on
-    a lattice scaled to the truncation box); alpha=2 growth refuses
-    maturities beyond 1/(8*C*lambda).
+    The kernel follows problem.kind: the Gaussian Gamma_K for the log-price
+    family, Gamma_L through Yor's density for the price family.  Its
+    diffusion constant lambda = sigma^2/2 and the rate r are read from
+    problem.constant_coeffs = (r, lambda); a problem without them or
+    without a payoff spec raises ValueError, and so does a rate on the
+    price family, which has no discounting here.  The payoff must satisfy
+    the spec's growth bound (checked on a lattice scaled to the truncation
+    box); alpha=2 growth refuses maturities beyond 1/(8*C*lambda).  A
+    result whose error estimate exceeds tol raises ToleranceNotMetError.
     """
-    if problem.spec is not None:
-        lat = np.linspace(-10, 10, 41)
-        LX, LY = np.meshgrid(lat, lat, indexing="ij")
-        if problem.kind is GeometryKind.L:
-            LX = np.exp(np.linspace(-6, 6, 41))[:, None] \
-                * np.ones((1, 41))
-            LY = np.abs(LY)
-        ok, worst = growth_check(problem.spec, (LX, LY),
-                                 transformed=problem.initial)
-        if not ok:
-            raise GrowthViolationError(
-                f"payoff exceeds its growth bound (worst ratio {worst:.3g})"
-            )
-    if isinstance(kernel, GammaKEvaluator):
-        return _price_gamma_k(kernel, problem, point, tol)
-    if isinstance(kernel, GammaLEvaluator):
-        return _price_gamma_l(kernel, problem, point, tol)
-    if isinstance(kernel, GridKernelEvaluator):
-        return _price_grid(kernel, problem, point, tol)
-    raise TypeError(f"unknown kernel evaluator {type(kernel)!r}")
+    if problem.spec is None or problem.constant_coeffs is None:
+        raise ValueError("pricing needs a payoff spec and constant "
+                         "coefficients (r, lambda)")
+    r, lam = problem.constant_coeffs
+    KernelParams(lam)  # refuses lambda <= 0
+    if problem.kind is GeometryKind.L and r != 0.0:
+        raise ValueError("the price-family kernel prices only r = 0")
+    lat = np.linspace(-10, 10, 41)
+    LX, LY = np.meshgrid(lat, lat, indexing="ij")
+    if problem.kind is GeometryKind.L:
+        LX = np.exp(np.linspace(-6, 6, 41))[:, None] * np.ones((1, 41))
+        LY = np.abs(LY)
+    ok, worst = growth_check(problem.spec, (LX, LY),
+                             transformed=problem.initial)
+    if not ok:
+        raise GrowthViolationError(
+            f"payoff exceeds its growth bound (worst ratio {worst:.3g})"
+        )
+    if problem.kind is GeometryKind.K:
+        res = _price_gamma_k(problem, point, r, lam, tol)
+    else:
+        res = _price_gamma_l(problem, point, lam, tol)
+    if res.abs_error_estimate > tol:
+        raise ToleranceNotMetError(
+            f"price {res.value:.6g} has error estimate "
+            f"{res.abs_error_estimate:.3g} above tol {tol:.3g}"
+        )
+    return res

@@ -23,8 +23,7 @@ from asianpde.kernels import (KernelParams, gamma_k_array, gamma_k_mass,
                               gamma_l1_array, gamma_l1_mass, theta)
 from asianpde.mc import (Averaging, McConfig, ModelSpec, empirical_density,
                          fraction_within_bands, mc_price, simulate_terminal)
-from asianpde.pricing import (CauchyProblem, GammaKEvaluator, GammaLEvaluator,
-                              GrowthBound, PricingSpec,
+from asianpde.pricing import (CauchyProblem, GrowthBound, PricingSpec,
                               arithmetic_call_payoff, geometric_call_payoff,
                               make_arithmetic_problem, price,
                               transform_geometric)
@@ -283,7 +282,7 @@ def test_criterion_9_envelope_sandwich(fd_kernels):
                                  c_plus * hi_shape[1::2])
 
     # price-family side: fitted control-value envelope vs the closed form
-    from asianpde.bounds import EnvelopeConstants, gamma_l_envelope
+    from asianpde.bounds import gamma_l_envelope
     pole = EventPoint(1.0, 0.0, 0.0)
     eps = 0.25
     pts = [(x, y, t)
@@ -291,8 +290,6 @@ def test_criterion_9_envelope_sandwich(fd_kernels):
            for y in np.linspace(-2.0, -0.4, 10)
            for t in np.linspace(0.5, 1.0, 10)
            if y + pole.x * eps * t < pole.y]
-    consts0 = EnvelopeConstants(lambda_minus=1.0, lambda_plus=1.0,
-                                c_minus=1.0, c_plus=1.0, epsilon=eps)
     target_l = np.empty(len(pts))
     lo_l = np.empty(len(pts))
     hi_l = np.empty(len(pts))
@@ -300,8 +297,7 @@ def test_criterion_9_envelope_sandwich(fd_kernels):
         v, _ = gamma_l1_array(np.array([x]), np.array([y]), t,
                               pole.x, pole.y, pole.t, 1e-8)
         target_l[k] = v[0]
-        lo_l[k], hi_l[k] = gamma_l_envelope(consts0, EventPoint(x, y, t),
-                                            pole)
+        lo_l[k], hi_l[k] = gamma_l_envelope(EventPoint(x, y, t), pole, eps)
     cl, cu = fit_multiplicative_constants(target_l[::2], lo_l[::2],
                                           hi_l[::2], slack=0.1,
                                           floor=1e-250)
@@ -343,8 +339,7 @@ def test_criterion_10_dual_method_pricing():
                          growth=GrowthBound(M=1.0, C=1.5, alpha=1.0),
                          kink_lines=(0.0,))
     prob_g = transform_geometric(spec_g, sigma_g, 0.0)
-    kp_g = price(GammaKEvaluator(lam_g), prob_g, EventPoint(0.0, 0.0, 1.0),
-                 tol=1e-8).value
+    kp_g = price(prob_g, EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
     model_g = ModelSpec(mu=-lam_g, sigma=sigma_g, r=0.0,
                         averaging=Averaging.GEOMETRIC)
     mc_g, se_g = mc_price(model_g, spec_g.payoff, (1.0, 0.0, 0.0), 1.0,
@@ -360,8 +355,7 @@ def test_criterion_10_dual_method_pricing():
                          growth=GrowthBound(M=2.0, C=1.0, alpha=1.0),
                          kink_lines=(1.0,))
     prob_a = make_arithmetic_problem(spec_a)
-    kp_a = price(GammaLEvaluator(1.0), prob_a, EventPoint(1.0, 0.0, 1.0),
-                 tol=1e-5).value
+    kp_a = price(prob_a, EventPoint(1.0, 0.0, 1.0), tol=1e-5).value
     model_a = ModelSpec(mu=0.0, sigma=sigma_a, r=0.0,
                         averaging=Averaging.ARITHMETIC)
     mc_a, se_a = mc_price(model_a, spec_a.payoff, (1.0, 0.0, 0.0), 1.0,
@@ -390,14 +384,13 @@ def test_criterion_12_initial_datum_attainment():
                        growth=GrowthBound(M=1.5, C=0.1, alpha=1.0))
     prob = CauchyProblem(field=CoefficientField.constant(lam),
                          initial=plateau, kind=GeometryKind.K, spec=spec,
-                         constant_coeffs=(0.0, math.sqrt(2 * lam)))
+                         constant_coeffs=(0.0, lam))
     target = 1.0  # plateau value at the approach point (0, 0)
     worst = 0.0
     for dt in (1e-1, 1e-2, 1e-3):
         for (dx, dy) in [(0.0, 0.0), (0.3 * dt, 0.0),
                          (0.1 * dt, -0.2 * dt)]:
-            res = price(GammaKEvaluator(lam), prob, EventPoint(dx, dy, dt),
-                        tol=1e-8)
+            res = price(prob, EventPoint(dx, dy, dt), tol=1e-8)
             worst = max(worst, abs(res.value - target))
     report(12, worst <= 1e-2,
            f"max |price - payoff| over 3 approach sequences x 3 times "

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -98,6 +99,20 @@ def test_fd_solve_writes_grid(tmp_path, capsys):
     frames, info = load_grid(out_path)
     assert info["nx"] == 65 and frames.shape[0] == 1
     assert abs(frames.sum() * (8 / 64) * (2.4 / 64) - 1.0) < 0.05
+
+
+def test_fd_solve_help_gives_a_working_l_call(tmp_path, capsys):
+    from asianpde.cli import build_parser
+    sub = build_parser()._subparsers._group_actions[0].choices["fd-solve"]
+    text = " ".join(sub.format_help().split())
+    example = re.search(r"--kind l .*?--yrange=\S+", text).group(0).split()
+    out_path = str(tmp_path / "l.grid")
+    code, out, _ = run_cli(["fd-solve", *example, "--out", out_path], capsys)
+    assert code == EXIT_OK
+    frames, info = load_grid(out_path)
+    assert info["kind"] == "L" and np.all(frames >= 0.0)
+    mass = float(re.search(r"final mass ([0-9.e+-]+)", out).group(1))
+    assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_validate_reproduction_suite(tmp_path, capsys):
@@ -223,10 +238,16 @@ def test_python_m_runs_cli(module, capsys):
      "below the reliable range"),
     (["kernel", "--kind", "l", "--point", "1,0,1", "--pole", "1.2,0.8,0.95"],
      "below the reliable range"),
-], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed"])
-def test_python_m_usage_error_is_one_line(argv, text):
+    # a price whose error estimate misses --tol is refused
+    (["price", "--kind", "arithmetic", "--sigma", "0.5"], "above tol"),
+    # the default pole 0,0,0 is for k; the price family needs a positive x
+    (["fd-solve", "--kind", "l", "--out", "l.grid"], "pole needs x > 0"),
+], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
+        "price-missed-tol", "fd-solve-l-default-pole"])
+def test_python_m_usage_error_is_one_line(argv, text, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "asianpde", *argv],
-                          capture_output=True, text=True, env=_child_env())
+                          capture_output=True, text=True, env=_child_env(),
+                          cwd=tmp_path)
     assert proc.returncode == EXIT_USAGE
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
@@ -234,10 +255,12 @@ def test_python_m_usage_error_is_one_line(argv, text):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # each is imported inside the few functions that use it
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, asianpde.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, asianpde.cli; print(sorted(m for m in sys.modules if m "
+         "in ('scipy.stats', 'scipy.optimize', 'scipy.integrate')))"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -7,10 +7,9 @@ import pytest
 from asianpde._quadrature import panel_nodes, uniform_edges
 from asianpde.fd import (BoundViolationError, CflError, CoefficientField,
                          GridMismatchError, GridSpec, MollifierMode,
-                         MollifierSpec, adjoint_kernel_slice, apply_operator,
+                         MollifierSpec, apply_operator,
                          approximate_fundamental_solution, delta_approximant,
-                         export_slice_csv, load_grid, mollify,
-                         reproduction_check, save_grid, solve_cauchy)
+                         load_grid, mollify, save_grid, solve_cauchy)
 from asianpde.geometry import EventPoint, GeometryKind
 from asianpde.kernels import KernelParams, gamma_k_array, gamma_l1_array
 
@@ -140,29 +139,6 @@ def test_apply_operator_kernel_residual_order():
 
     r1, r2 = residual_norm(64), residual_norm(128)
     assert math.log2(r1 / r2) >= 1.8
-
-
-def test_apply_operator_green_identity():
-    # discrete duality of the primal/adjoint spatial parts on compactly
-    # supported grid functions (upwind transport transposes exactly)
-    grid = make_grid(nx=65, ny=65)
-
-    def a_fn(x, y, t):
-        return 1.0 + 0.3 / (1.0 + np.asarray(x)**2 + np.asarray(y)**2)
-
-    field = CoefficientField(a=a_fn, b=0.2, r=0.1, lam=1.0, Lam=1.4)
-    rng = np.random.default_rng(0)
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    bump = np.exp(-8.0 * (X**2 + Y**2))
-    bump[(np.abs(X) > 2.0) | (np.abs(Y) > 1.0)] = 0.0   # truly interior
-    u = bump * rng.normal(size=bump.shape)
-    v = bump * rng.normal(size=bump.shape)
-    Ku = apply_operator(field, u, grid, 0.0, mode="primal")
-    Ksv = apply_operator(field, v, grid, 0.0, mode="adjoint")
-    lhs = float(np.sum(v * Ku) * grid.cell_area)
-    rhs = float(np.sum(u * Ksv) * grid.cell_area)
-    scale = float(np.max(np.abs(Ku))) + 1.0
-    assert abs(lhs - rhs) <= 1e-10 * scale
 
 
 def test_apply_operator_shape_mismatch():
@@ -320,60 +296,13 @@ def test_pole_placement_validation():
         approximate_fundamental_solution(field, EventPoint(10, 0, 0), grid)
     with pytest.raises(ValueError):
         approximate_fundamental_solution(field, EventPoint(0, 0, 0.1), grid)
-
-
-# -- reproduction -------------------------------------------------------------
-
-def test_reproduction_identity_composition():
-    # composing a smooth slice with a near-delta kernel reproduces it up to
-    # the delta-approximation (smoothing) error
-    grid = make_grid(nx=129, ny=129)
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    direct = gamma_k_array(1.0, X, Y, 0.5, 0.0, 0.0, 0.0)
-
-    def near_delta(x, y):
-        return delta_approximant(grid, x, y, 3.0)
-
-    rep = reproduction_check(direct, near_delta, direct, grid)
-    assert rep.rel_l1 <= 0.1  # delta-approximation error only
-
-
-def test_reproduction_closed_form_k():
-    lam = 1.0
-    grid = GridSpec(x_range=(-5.0, 5.0), y_range=(-3.0, 3.0),
-                    t_range=(0.0, 1.0), nx=101, ny=101, nt=8)
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    slice_tau = gamma_k_array(lam, X, Y, 0.5, 0.0, 0.0, 0.0)
-    direct = gamma_k_array(lam, X, Y, 1.0, 0.0, 0.0, 0.0)
-
-    def k_tau_to_t(x, y):
-        return gamma_k_array(lam, x, y, 1.0, X, Y, 0.5)
-
-    rep = reproduction_check(slice_tau, k_tau_to_t, direct, grid)
-    assert rep.l1 <= 1e-3
-
-
-def test_reproduction_grid_mismatch():
-    grid = make_grid()
-    with pytest.raises(GridMismatchError):
-        reproduction_check(np.zeros((3, 3)), lambda x, y: np.zeros((3, 3)),
-                           np.zeros((3, 3)), grid)
-
-
-# -- adjoint ------------------------------------------------------------------
-
-def test_adjoint_slice_matches_pole_variable_kernel():
-    # Gamma(point; xi, eta, 0) from one adjoint solve vs the closed form
-    lam = 1.0
-    field = CoefficientField.constant(lam)
-    grid = GridSpec(x_range=(-4.0, 4.0), y_range=(-1.2, 1.2),
-                    t_range=(0.0, 0.5), nx=193, ny=193, nt=384)
-    point = EventPoint(0.0, 0.0, 0.5)
-    sl = adjoint_kernel_slice(field, point, grid)
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    exact = gamma_k_array(lam, point.x, point.y, point.t, X, Y, 0.0)
-    rel_l1 = float(np.sum(np.abs(sl - exact)) / np.sum(np.abs(exact)))
-    assert rel_l1 <= 0.08
+    # the price family maps the pole price to log coordinates
+    grid_l = make_grid(kind=GeometryKind.L)
+    field_l = CoefficientField.constant(1.0, kind=GeometryKind.L)
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError, match="pole needs x > 0"):
+            approximate_fundamental_solution(field_l, EventPoint(x, 0, 0),
+                                             grid_l)
 
 
 # -- serialization ------------------------------------------------------------
@@ -404,13 +333,3 @@ def test_grid_io_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_grid(path)
 
-
-def test_export_slice_csv(tmp_path):
-    grid = make_grid(nx=5, ny=4, nt=2)
-    field = CoefficientField.constant(1.0)
-    sol = solve_cauchy(field, np.ones((grid.nx, grid.ny)), grid, store="all")
-    path = str(tmp_path / "slice.csv")
-    export_slice_csv(sol, -1, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + grid.nx * grid.ny

@@ -27,10 +27,9 @@ import pytest
 from asianpde._quadrature import panel_nodes, uniform_edges
 from asianpde.geometry import EventPoint, GeometryKind, compose
 from asianpde.kernels import (KernelParams, KernelResult, ThetaConvergenceError,
-                              YorArgs, gamma_k, gamma_k_array, gamma_k_mass,
-                              gamma_l1, gamma_l1_array, gamma_l1_mass,
-                              gamma_l_lambda, theta, theta_batch,
-                              yor_density, yor_density_batch, yor_mass)
+                              gamma_k, gamma_k_array, gamma_k_mass, gamma_l1,
+                              gamma_l1_array, gamma_l1_mass, gamma_l_lambda,
+                              theta, theta_batch, yor_density_batch, yor_mass)
 
 # mpmath (dps=40), integral over (0, 26) in unit half-period panels
 THETA_1_1 = 0.041857361969840540943
@@ -183,22 +182,22 @@ def test_kernel_result_validation():
 
 def test_yor_args_validation():
     with pytest.raises(ValueError):
-        YorArgs(w=0.0, y=-1.0, t=1.0)
+        yor_density_batch(np.array([0.0]), np.array([-1.0]), 1.0)
     with pytest.raises(ValueError):
-        YorArgs(w=0.0, y=1.0, t=0.0)
+        yor_density_batch(np.array([0.0]), np.array([1.0]), 0.0)
 
 
 def test_yor_density_reference_point():
     # p(0, 1, 1) = e^{pi^2/2} / (pi sqrt(2 pi)) * e^{-1} * theta(1, 1)
     pref = math.exp(math.pi**2 / 2.0) / (math.pi * math.sqrt(2 * math.pi)) \
         * math.exp(-1.0)
-    res = yor_density(YorArgs(w=0.0, y=1.0, t=1.0), tol=1e-12)
-    assert res.value == pytest.approx(pref * THETA_1_1, rel=1e-11)
+    vals, _ = yor_density_batch(np.array([0.0]), np.array([1.0]), 1.0, 1e-12)
+    assert vals[0] == pytest.approx(pref * THETA_1_1, rel=1e-11)
 
 
 def test_yor_density_vanishes_at_small_y():
-    res = yor_density(YorArgs(w=0.0, y=1e-3, t=1.0), tol=1e-10)
-    assert res.value < 1e-200
+    vals, _ = yor_density_batch(np.array([0.0]), np.array([1e-3]), 1.0, 1e-10)
+    assert vals[0] < 1e-200
 
 
 def test_yor_density_nonnegative_on_grid():

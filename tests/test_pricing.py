@@ -7,17 +7,13 @@ from scipy.stats import norm
 
 from asianpde.fd import CoefficientField, GridSpec, solve_cauchy
 from asianpde.geometry import EventPoint, GeometryKind
-from asianpde.kernels import gamma_l1
 from asianpde.mc import Averaging, McConfig, ModelSpec, mc_price
-from asianpde.pricing import (CauchyProblem, GammaKEvaluator, GammaLEvaluator,
-                              GridKernelEvaluator, GrowthBound,
+from asianpde.pricing import (CauchyProblem, GrowthBound,
                               GrowthViolationError, MaturityLimitError,
-                              PricingSpec, arithmetic_call_payoff,
-                              constant_coeff_shift, geometric_call_payoff,
-                              growth_check, inverse_constant_coeff_shift,
-                              make_arithmetic_problem, price,
-                              transform_geometric, untransform_geometric,
-                              zero_order_rescale)
+                              PricingSpec, ToleranceNotMetError,
+                              arithmetic_call_payoff, geometric_call_payoff,
+                              growth_check, make_arithmetic_problem, price,
+                              transform_geometric)
 
 
 def unit_payoff(s, a):
@@ -71,7 +67,7 @@ def test_transform_coefficients():
     b = float(prob.field.b(np.array(0.3), np.array(0.1), 0.0))
     assert a == pytest.approx(0.125, rel=1e-12)
     assert b == pytest.approx(0.03 - 0.125, rel=1e-9)  # constant sigma
-    assert prob.constant_coeffs == (0.03, 0.5)
+    assert prob.constant_coeffs == (0.03, 0.125)
 
 
 def test_transform_requires_geometric_kind():
@@ -80,131 +76,6 @@ def test_transform_requires_geometric_kind():
                        sigma=1.0)
     with pytest.raises(ValueError):
         transform_geometric(spec, 1.0, 0.0)
-
-
-def test_untransform_round_trip():
-    rng = np.random.default_rng(0)
-    v = lambda x, y, t: np.sin(x) + y * np.asarray(t)
-    Z = untransform_geometric(v, maturity=2.0)
-    for _ in range(20):
-        s = float(rng.uniform(0.2, 5.0))
-        a = float(rng.uniform(-1, 1))
-        t = float(rng.uniform(0, 2))
-        assert Z(s, a, t) == pytest.approx(
-            v(math.log(s), a, 2.0 - t), rel=1e-12)
-
-
-# -- constant-coefficient shift -------------------------------------------------
-
-def test_shift_pure_scaling_when_r_equals_lambda():
-    r = 0.08
-    sigma = 0.4  # lam = r
-    v = lambda x, y, t: np.asarray(x) + 2.0 * np.asarray(y)
-    u = constant_coeff_shift(v, r, sigma)
-    assert u(1.0, 2.0, 3.0) == pytest.approx(
-        math.exp(r * 3.0) * v(1.0, 2.0, 3.0), rel=1e-12)
-
-
-def test_shift_x_by_t_when_r_zero():
-    sigma = math.sqrt(2.0)  # lam = 1, r = 0
-    seen = {}
-
-    def v(x, y, t):
-        seen["args"] = (float(x), float(y), float(t))
-        return 0.0
-
-    u = constant_coeff_shift(v, 0.0, sigma)
-    u(1.0, 0.0, 0.5)
-    x_arg, y_arg, t_arg = seen["args"]
-    assert x_arg == pytest.approx(1.5)          # x shifted by lam*t = t
-    assert y_arg == pytest.approx(-0.125)       # quadratic correction
-    assert t_arg == 0.5
-
-
-def test_shift_inverse_is_identity():
-    rng = np.random.default_rng(1)
-    v = lambda x, y, t: np.sin(x) * np.cos(y) + np.asarray(t)
-    for r, sigma in [(0.0, 0.4), (0.05, 0.3), (0.1, 1.0)]:
-        back = inverse_constant_coeff_shift(
-            constant_coeff_shift(v, r, sigma), r, sigma)
-        for _ in range(10):
-            x, y, t = rng.uniform(-1, 1, size=3)
-            assert back(x, y, t) == pytest.approx(float(v(x, y, t)),
-                                                  rel=1e-12, abs=1e-12)
-
-
-def test_shifted_solution_solves_model_operator():
-    # v solves the variable-rate problem; the shifted u must satisfy the
-    # drift-free model operator, checked by central finite differences
-    r, sigma = 0.05, 0.6
-    lam = 0.5 * sigma**2
-    pole = EventPoint(0.0, 0.3, -0.2)
-    from asianpde.kernels import gamma_k_array
-
-    def u_exact(x, y, t):
-        return gamma_k_array(lam, x, y, t, pole.x, pole.y, pole.t)
-
-    v = inverse_constant_coeff_shift(u_exact, r, sigma)
-    u = constant_coeff_shift(v, r, sigma)
-
-    def residual(h):
-        worst = 0.0
-        for (x, y, t) in [(0.2, 0.1, 0.5), (-0.4, 0.0, 0.8),
-                          (0.1, -0.2, 0.6)]:
-            uxx = (u(x + h, y, t) - 2 * u(x, y, t) + u(x - h, y, t)) / h**2
-            uy = (u(x, y + h, t) - u(x, y - h, t)) / (2 * h)
-            ut = (u(x, y, t + h) - u(x, y, t - h)) / (2 * h)
-            worst = max(worst, abs(float(lam * uxx + x * uy - ut)))
-        return worst
-
-    r1, r2 = residual(1.0 / 64), residual(1.0 / 128)
-    assert math.log2(r1 / max(r2, 1e-300)) >= 1.8
-
-
-# -- zero-order rescale ----------------------------------------------------------
-
-def test_rescale_identity_for_zero_rate():
-    u = lambda x, y, t: np.asarray(x) + np.asarray(y)
-    v = zero_order_rescale(u, lambda t: 0.0, 0.0)
-    assert v(1.0, 2.0, 3.0) == pytest.approx(3.0, rel=1e-12)
-
-
-def test_rescale_constant_rate():
-    # constant rate discounts exactly: v = e^{-c (t - t0)} u
-    u = lambda x, y, t: np.ones_like(np.asarray(x, float))
-    v = zero_order_rescale(u, lambda t: 0.25, 1.0)
-    assert float(v(0.0, 0.0, 3.0)) == pytest.approx(math.exp(-0.25 * 2.0),
-                                                    rel=1e-10)
-
-
-def test_rescale_solves_zero_order_equation():
-    # u solves the rate-free price-family equation (closed form); then
-    # v = e^{R(t)} u satisfies Lv - r(t) v = 0 at stencil order
-    pole = EventPoint(1.0, 1.0, 0.0)
-
-    def u_fn(x, y, t):
-        return gamma_l1(EventPoint(float(x), float(y), float(t)), pole,
-                        1e-11).value
-
-    r_of_t = lambda t: math.sin(t)
-    v_fn = zero_order_rescale(u_fn, r_of_t, 0.3)
-
-    def residual(h):
-        worst = 0.0
-        for (x, y, t) in [(1.1, -0.3, 0.5), (0.9, -0.1, 0.6)]:
-            vxx = (v_fn(x + h, y, t) - 2 * v_fn(x, y, t)
-                   + v_fn(x - h, y, t)) / h**2
-            vx = (v_fn(x + h, y, t) - v_fn(x - h, y, t)) / (2 * h)
-            vy = (v_fn(x, y + h, t) - v_fn(x, y - h, t)) / (2 * h)
-            vt = (v_fn(x, y, t + h) - v_fn(x, y, t - h)) / (2 * h)
-            res = x * x * vxx + x * vx + x * vy - vt \
-                - r_of_t(t) * v_fn(x, y, t)
-            worst = max(worst, abs(res))
-        return worst
-
-    r1, r2 = residual(1.0 / 32), residual(1.0 / 64)
-    assert math.log2(r1 / max(r2, 1e-300)) >= 1.8
-    assert r2 < 5e-3
 
 
 # -- growth check -----------------------------------------------------------------
@@ -246,8 +117,7 @@ def test_price_unit_payoff_is_one():
                           growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
                           kinks=())
     prob = transform_geometric(spec, 0.4, 0.0)
-    res = price(GammaKEvaluator(0.08), prob, EventPoint(0.0, 0.0, 1.0),
-                tol=1e-8)
+    res = price(prob, EventPoint(0.0, 0.0, 1.0), tol=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -256,8 +126,7 @@ def test_price_geometric_call_matches_lognormal_oracle():
                                 (0.5, 0.02, 0.9)]:
         spec = geometric_spec(sigma=sigma, rate=rate, strike=strike)
         prob = transform_geometric(spec, sigma, rate)
-        res = price(GammaKEvaluator(0.5 * sigma**2), prob,
-                    EventPoint(0.0, 0.0, 1.0), tol=1e-8)
+        res = price(prob, EventPoint(0.0, 0.0, 1.0), tol=1e-8)
         ref = lognormal_geometric_call(sigma, rate, strike, 1.0)
         assert res.value == pytest.approx(ref, abs=5e-7)
 
@@ -265,10 +134,9 @@ def test_price_geometric_call_matches_lognormal_oracle():
 def test_price_linearity_in_payoff():
     spec1 = geometric_spec(strike=1.0)
     spec2 = geometric_spec(strike=1.2)
-    lam = 0.08
-    p1 = price(GammaKEvaluator(lam), transform_geometric(spec1, 0.4, 0.0),
+    p1 = price(transform_geometric(spec1, 0.4, 0.0),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
-    p2 = price(GammaKEvaluator(lam), transform_geometric(spec2, 0.4, 0.0),
+    p2 = price(transform_geometric(spec2, 0.4, 0.0),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
 
     def combo(s, a):
@@ -277,7 +145,7 @@ def test_price_linearity_in_payoff():
 
     spec3 = geometric_spec(payoff=combo, growth=GrowthBound(5.0, 1.5, 1.0),
                            kinks=(0.0, math.log(1.2)))
-    p3 = price(GammaKEvaluator(lam), transform_geometric(spec3, 0.4, 0.0),
+    p3 = price(transform_geometric(spec3, 0.4, 0.0),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
     assert p3 == pytest.approx(2.0 * p1 + 3.0 * p2, abs=2e-6)
 
@@ -289,7 +157,7 @@ def test_price_growth_violation_raises():
                           kinks=())
     prob = transform_geometric(spec, 0.4, 0.0)
     with pytest.raises(GrowthViolationError):
-        price(GammaKEvaluator(0.08), prob, EventPoint(0.0, 0.0, 1.0))
+        price(prob, EventPoint(0.0, 0.0, 1.0))
 
 
 def test_price_alpha_two_maturity_refusal():
@@ -300,8 +168,8 @@ def test_price_alpha_two_maturity_refusal():
     lam = 0.08
     limit = 1.0 / (8.0 * 1.0 * lam)
     with pytest.raises(MaturityLimitError):
-        price(GammaKEvaluator(lam), prob, EventPoint(0.0, 0.0, limit * 1.5))
-    ok = price(GammaKEvaluator(lam), prob, EventPoint(0.0, 0.0, limit * 0.5))
+        price(prob, EventPoint(0.0, 0.0, limit * 1.5))
+    ok = price(prob, EventPoint(0.0, 0.0, limit * 0.5))
     assert ok.value == pytest.approx(1.0, abs=1e-5)
 
 
@@ -310,8 +178,7 @@ def test_price_arithmetic_unit_payoff():
                        strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
                        growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
     prob = make_arithmetic_problem(spec)
-    res = price(GammaLEvaluator(1.0), prob, EventPoint(1.0, 0.0, 1.0),
-                tol=1e-5)
+    res = price(prob, EventPoint(1.0, 0.0, 1.0), tol=1e-5)
     assert res.value == pytest.approx(1.0, abs=1e-4)
 
 
@@ -328,11 +195,10 @@ def test_price_initial_datum_attainment():
                           kinks=())
     prob = CauchyProblem(field=CoefficientField.constant(lam),
                          initial=plateau, kind=GeometryKind.K, spec=spec,
-                         constant_coeffs=(0.0, math.sqrt(2 * lam)))
+                         constant_coeffs=(0.0, lam))
     for dt in (1e-1, 1e-2, 1e-3):
         for (dx, dy) in [(0.0, 0.0), (0.3 * dt, 0.0), (0.1 * dt, -0.2 * dt)]:
-            res = price(GammaKEvaluator(lam), prob,
-                        EventPoint(dx, dy, dt), tol=1e-8)
+            res = price(prob, EventPoint(dx, dy, dt), tol=1e-8)
             assert abs(res.value - 1.0) <= 1e-2
 
 
@@ -340,14 +206,12 @@ def test_price_representation_matches_fd():
     # constant coefficients: kernel-quadrature price vs the transformed
     # problem solved directly by the FD scheme, on a (strike, maturity) grid
     sigma, rate = 0.4, 0.0
-    lam = 0.5 * sigma**2
     for strike in (0.9, 1.0, 1.1):
         for maturity in (0.75, 1.0, 1.25):
             spec = geometric_spec(strike=strike, maturity=maturity,
                                   sigma=sigma, rate=rate)
             prob = transform_geometric(spec, sigma, rate)
-            kernel_price = price(GammaKEvaluator(lam), prob,
-                                 EventPoint(0.0, 0.0, maturity),
+            kernel_price = price(prob, EventPoint(0.0, 0.0, maturity),
                                  tol=1e-8).value
             grid = GridSpec(x_range=(-1.6, 1.6), y_range=(-0.9, 0.9),
                             t_range=(0.0, maturity), nx=129, ny=513,
@@ -361,37 +225,64 @@ def test_price_representation_matches_fd():
             assert fd_price == pytest.approx(kernel_price, rel=0.02)
 
 
-def test_price_grid_kernel_evaluator():
-    # a synthetic grid kernel slice: the delta approximant prices back the
-    # payoff value at its center
-    from asianpde.fd import delta_approximant
-    grid = GridSpec(x_range=(-2, 2), y_range=(-2, 2), t_range=(0, 0.5),
-                    nx=129, ny=129, nt=64)
-    sl = delta_approximant(grid, 0.3, -0.4, 3.0)
-    spec = geometric_spec(payoff=unit_payoff,
-                          growth=GrowthBound(M=1.5, C=0.5, alpha=1.0),
-                          kinks=())
-
-    def initial(x, y):
-        return np.asarray(x, float) + 2.0 * np.asarray(y, float) + 3.0
-
-    prob = CauchyProblem(field=CoefficientField.constant(1.0),
-                         initial=initial, kind=GeometryKind.K, spec=None)
-    res = price(GridKernelEvaluator(sl, grid), prob,
-                EventPoint(0.0, 0.0, 0.5), tol=1e-6)
-    assert res.value == pytest.approx(0.3 + 2.0 * (-0.4) + 3.0, abs=1e-3)
-
-
 def test_dual_method_quick():
     # reduced-size version of the dual-method agreement
     sigma, strike, maturity = 0.4, 1.0, 1.0
     lam = 0.5 * sigma**2
     spec = geometric_spec(sigma=sigma, strike=strike, maturity=maturity)
     prob = transform_geometric(spec, sigma, 0.0)
-    kernel_price = price(GammaKEvaluator(lam), prob,
-                         EventPoint(0.0, 0.0, maturity), tol=1e-8).value
+    kernel_price = price(prob, EventPoint(0.0, 0.0, maturity),
+                         tol=1e-8).value
     model = ModelSpec(mu=-lam, sigma=sigma, r=0.0,
                       averaging=Averaging.GEOMETRIC)
     est, se = mc_price(model, spec.payoff, (1.0, 0.0, 0.0), maturity,
                        McConfig(n_paths=100_000, n_steps=128, seed=42))
     assert abs(kernel_price - est) <= 3.0 * se
+
+
+def test_price_needs_constant_coefficients():
+    # a callable sigma leaves no (r, lambda) to read the kernel from
+    spec = geometric_spec()
+    prob = transform_geometric(spec, lambda x, y, t: 0.4 + 0 * x, 0.0)
+    assert prob.constant_coeffs is None
+    with pytest.raises(ValueError, match="constant"):
+        price(prob, EventPoint(0.0, 0.0, 1.0))
+    no_spec = CauchyProblem(field=CoefficientField.constant(0.08),
+                            initial=spec.payoff, kind=GeometryKind.K,
+                            constant_coeffs=(0.0, 0.08))
+    with pytest.raises(ValueError, match="spec"):
+        price(no_spec, EventPoint(0.0, 0.0, 1.0))
+
+
+def test_price_family_refuses_a_rate():
+    spec = PricingSpec(payoff=unit_payoff, kind=Averaging.ARITHMETIC,
+                       strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
+                       growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
+    prob = make_arithmetic_problem(spec)
+    assert prob.constant_coeffs == pytest.approx((0.0, 1.0), rel=1e-15)
+    with_rate = CauchyProblem(field=prob.field, initial=prob.initial,
+                              kind=GeometryKind.L, spec=spec,
+                              constant_coeffs=(0.05, 1.0))
+    with pytest.raises(ValueError, match="r = 0"):
+        price(with_rate, EventPoint(1.0, 0.0, 1.0), tol=1e-5)
+
+
+def test_price_refuses_missed_tolerance():
+    # a jump the quadrature is not told about: the two rules disagree far
+    # beyond tol, so the price is refused; declared as a kink line, it is
+    # priced within tol
+    def digital(s, a):
+        return (np.asarray(a, float) > 0.0).astype(float)
+
+    growth = GrowthBound(M=1.5, C=0.1, alpha=1.0)
+    hidden = transform_geometric(
+        geometric_spec(payoff=digital, growth=growth, kinks=()), 0.4, 0.0)
+    with pytest.raises(ToleranceNotMetError, match="above tol"):
+        price(hidden, EventPoint(0.0, 0.0, 1.0), tol=1e-6)
+    declared = transform_geometric(
+        geometric_spec(payoff=digital, growth=growth, kinks=(0.0,)), 0.4, 0.0)
+    res = price(declared, EventPoint(0.0, 0.0, 1.0), tol=1e-6)
+    assert res.abs_error_estimate <= 1e-6
+    # P(mean of the log price > 0) with mean -lam/2 and variance sigma^2/3
+    sd = math.sqrt(0.4**2 / 3.0)
+    assert res.value == pytest.approx(norm.cdf(-0.04 / sd), abs=1e-6)
