@@ -129,7 +129,7 @@ class GridSpec:
             raise ValueError("grid too small")
         if self.t_range[1] <= self.t_range[0]:
             raise ValueError("empty time range")
-        speed = np.max(np.abs(self.transport_speed(self.xs)))
+        speed = np.max(np.abs(self.physical_x(self.xs)))
         object.__setattr__(self, "cfl_ratio",
                            float(speed * self.dt / self.dy))
 
@@ -162,11 +162,8 @@ class GridSpec:
         return self.dx * self.dy
 
     def physical_x(self, xs: np.ndarray) -> np.ndarray:
+        # also the transport speed: x * d/dy, or e^w * d/dy in log coordinates
         return np.exp(xs) if self.kind is GeometryKind.L else xs
-
-    def transport_speed(self, xs: np.ndarray) -> np.ndarray:
-        # x * d/dy in original coordinates; e^w * d/dy in log coordinates.
-        return self.physical_x(np.asarray(xs, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -292,43 +289,28 @@ def _coef_arrays(field: CoefficientField, grid: GridSpec, t: float):
     return a_half, b_full, r_full
 
 
-def _transport_apply(u, speed, dy, scheme: str):
-    dcol = np.zeros_like(u)
-    if scheme == "central":
-        dcol[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dy)
-        dcol[:, 0] = (u[:, 1] - u[:, 0]) / (2.0 * dy)
-        dcol[:, -1] = (u[:, -1] - u[:, -2]) / (2.0 * dy)
-        return speed[:, None] * dcol
-    fwd = np.zeros_like(u)
-    bwd = np.zeros_like(u)
-    fwd[:, :-1] = (u[:, 1:] - u[:, :-1]) / dy      # copy-out ghost at top
-    bwd[:, 1:] = (u[:, 1:] - u[:, :-1]) / dy       # copy-out ghost at bottom
-    s = speed[:, None]
-    return np.where(s > 0, s * fwd, s * bwd)
-
-
 def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
-                   t: float, transport: str = "upwind") -> np.ndarray:
+                   t: float) -> np.ndarray:
     """Spatial part of the operator on a grid slice.
 
     The full operator is spatial_part(u) - du/dt; time differencing is the
     caller's business.  Valid on the interior only: the one-cell halo of
-    the result is zeroed.  transport='central' replaces the upwind
-    difference with the second-order central one (used by residual/order
-    tests).
+    the result is zeroed.  Transport is the second-order central difference,
+    so the residual of an exact solution falls as h^2; the solver's upwind
+    transport is first order and is what keeps the march monotone.
     """
     if u.shape != (grid.nx, grid.ny):
         raise GridMismatchError(
             f"grid function shape {u.shape} != {(grid.nx, grid.ny)}"
         )
     a_half, b_full, r_full = _coef_arrays(field, grid, t)
-    speed = grid.transport_speed(grid.xs)
+    speed = grid.physical_x(grid.xs)
     dx, dy = grid.dx, grid.dy
     out = np.zeros_like(u)
     flux = a_half * (u[1:, :] - u[:-1, :]) / dx
     out[1:-1, :] = (flux[1:, :] - flux[:-1, :]) / dx
     out[1:-1, :] += b_full[1:-1, :] * (u[2:, :] - u[:-2, :]) / (2.0 * dx)
-    out += _transport_apply(u, speed, dy, transport)
+    out[:, 1:-1] += speed[:, None] * ((u[:, 2:] - u[:, :-2]) / (2.0 * dy))
     out -= r_full * u
     out[0, :] = out[-1, :] = 0.0
     out[:, 0] = out[:, -1] = 0.0
@@ -362,52 +344,48 @@ class Solution:
         return self.frames[-1]
 
 
-class _Tridiag:
-    """Batched Thomas solver for (I - dt*D) with D the implicit x-operator."""
+def _implicit_solver(field: CoefficientField, grid: GridSpec, t: float,
+                     dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """solve(rhs) for (I - dt*D), D the x-operator at time t: the Thomas
+    factorization is done once here, batched over the y columns."""
+    a_half, b_full, r_full = _coef_arrays(field, grid, t)
+    nx, ny = grid.nx, grid.ny
+    dx = grid.dx
+    lower = np.zeros((nx, ny))
+    upper = np.zeros((nx, ny))
+    diag = np.ones((nx, ny))
+    # zero-flux ghosts: interior rows carry both diffusion couplings
+    al = a_half[:-1, :]   # a_{i-1/2} for interior rows i = 1..nx-2
+    ar = a_half[1:, :]    # a_{i+1/2} for interior rows i = 1..nx-2
+    lower[1:-1, :] = -dt * al / dx**2
+    upper[1:-1, :] = -dt * ar / dx**2
+    diag[1:-1, :] += dt * (al + ar) / dx**2
+    # boundary rows keep the one-sided flux so constants stay exact
+    upper[0, :] = -dt * a_half[0, :] / dx**2
+    diag[0, :] += dt * a_half[0, :] / dx**2
+    lower[-1, :] = -dt * a_half[-1, :] / dx**2
+    diag[-1, :] += dt * a_half[-1, :] / dx**2
+    lower[1:-1, :] += dt * b_full[1:-1, :] / (2.0 * dx)
+    upper[1:-1, :] += -dt * b_full[1:-1, :] / (2.0 * dx)
+    diag += dt * r_full
 
-    def __init__(self, field: CoefficientField, grid: GridSpec, t: float,
-                 dt: float) -> None:
-        a_half, b_full, r_full = _coef_arrays(field, grid, t)
-        nx, ny = grid.nx, grid.ny
-        dx = grid.dx
-        lower = np.zeros((nx, ny))
-        upper = np.zeros((nx, ny))
-        diag = np.ones((nx, ny))
-        # zero-flux ghosts: interior rows carry both diffusion couplings
-        al = a_half[:-1, :]   # a_{i-1/2} for interior rows i = 1..nx-2
-        ar = a_half[1:, :]    # a_{i+1/2} for interior rows i = 1..nx-2
-        lower[1:-1, :] = -dt * al / dx**2
-        upper[1:-1, :] = -dt * ar / dx**2
-        diag[1:-1, :] += dt * (al + ar) / dx**2
-        # boundary rows keep the one-sided flux so constants stay exact
-        upper[0, :] = -dt * a_half[0, :] / dx**2
-        diag[0, :] += dt * a_half[0, :] / dx**2
-        lower[-1, :] = -dt * a_half[-1, :] / dx**2
-        diag[-1, :] += dt * a_half[-1, :] / dx**2
-        lower[1:-1, :] += dt * b_full[1:-1, :] / (2.0 * dx)
-        upper[1:-1, :] += -dt * b_full[1:-1, :] / (2.0 * dx)
-        diag += dt * r_full
-        self._factorize(lower, diag, upper)
+    w = np.zeros_like(diag)
+    dd = diag.copy()
+    for i in range(1, nx):
+        w[i] = lower[i] / dd[i - 1]
+        dd[i] = diag[i] - w[i] * upper[i - 1]
 
-    def _factorize(self, lower, diag, upper):
-        nx = diag.shape[0]
-        w = np.zeros_like(diag)
-        dd = diag.copy()
-        for i in range(1, nx):
-            w[i] = lower[i] / dd[i - 1]
-            dd[i] = diag[i] - w[i] * upper[i - 1]
-        self.w, self.dd, self.upper = w, dd, upper
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        nx = rhs.shape[0]
+    def solve(rhs: np.ndarray) -> np.ndarray:
         d = rhs.copy()
         for i in range(1, nx):
-            d[i] -= self.w[i] * d[i - 1]
+            d[i] -= w[i] * d[i - 1]
         out = np.empty_like(d)
-        out[-1] = d[-1] / self.dd[-1]
+        out[-1] = d[-1] / dd[-1]
         for i in range(nx - 2, -1, -1):
-            out[i] = (d[i] - self.upper[i] * out[i + 1]) / self.dd[i]
+            out[i] = (d[i] - upper[i] * out[i + 1]) / dd[i]
         return out
+
+    return solve
 
 
 def solve_cauchy(field: CoefficientField, initial: np.ndarray,
@@ -428,8 +406,7 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
             f"transport CFL ratio {grid.cfl_ratio:.3f} > 1; refine dt or dy"
         )
     dt = grid.dt
-    speed = grid.transport_speed(grid.xs)
-    nu = speed * dt / grid.dy
+    nu = grid.physical_x(grid.xs) * dt / grid.dy
     ts = grid.ts
     area = grid.cell_area
 
@@ -437,7 +414,7 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     frames = [u.copy()] if store == "all" else None
     mass = [float(u.sum() * area)]
     leakage = []
-    solver = None
+    solve = None
     for n in range(grid.nt):
         # transport substep (explicit upwind, copy-out at y edges)
         before = u.sum() * area
@@ -452,9 +429,9 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         u = u + nupos * (shift_up - u) + nuneg * (shift_dn - u)
         leakage.append(float(u.sum() * area - before))
         # diffusion substep (implicit)
-        if solver is None or not field.time_independent:
-            solver = _Tridiag(field, grid, ts[n + 1], dt)
-        u = solver.solve(u)
+        if solve is None or not field.time_independent:
+            solve = _implicit_solver(field, grid, ts[n + 1], dt)
+        u = solve(u)
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"solver produced non-finite values at step {n}")
         mass.append(float(u.sum() * area))

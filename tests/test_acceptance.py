@@ -95,7 +95,7 @@ def test_criterion_3_residual_order():
         um = gamma_k_array(lam, X, Y, t - h, 0.0, 0.0, 0.0)
         u0 = gamma_k_array(lam, X, Y, t, 0.0, 0.0, 0.0)
         up = gamma_k_array(lam, X, Y, t + h, 0.0, 0.0, 0.0)
-        spat = apply_operator(field, u0, grid, t, transport="central")
+        spat = apply_operator(field, u0, grid, t)
         res = spat - (up - um) / (2.0 * h)
         shear = Y + t * X / 2.0
         dmask = (np.abs(X) + np.abs(shear) ** (1 / 3) + t**0.5) >= 0.5

@@ -127,7 +127,7 @@ def test_apply_operator_kernel_residual_order():
         um = gamma_k_array(1.0, X, Y, t - dt, 0.0, 0.0, 0.0)
         u0 = gamma_k_array(1.0, X, Y, t, 0.0, 0.0, 0.0)
         up = gamma_k_array(1.0, X, Y, t + dt, 0.0, 0.0, 0.0)
-        spat = apply_operator(field, u0, grid, t, transport="central")
+        spat = apply_operator(field, u0, grid, t)
         res = spat - (up - um) / (2.0 * dt)
         # mask away the pole neighbourhood
         shear = Y - 0.0 + t * (X + 0.0) / 2.0
