@@ -1,9 +1,12 @@
 """Finite-difference Cauchy solver for the variable-coefficient operators.
 
-Space is (x, y) with diffusion only in x and a one-way coupling x * d/dy;
-time stepping is Lie splitting with implicit divergence-form diffusion
-(batched tridiagonal solves) and explicit monotone upwind transport, which
-together preserve the discrete comparison principle.  The price-family
+Space is (x, y) with diffusion only in x and a one-way coupling x * d/dy.
+The x-part D of the operator (flux-form diffusion, central drift, -r) is
+assembled in one place, as the three bands of a tridiagonal matrix per y
+column; apply_operator and the implicit step both read those bands.  Time
+stepping is Lie splitting: explicit monotone upwind transport in y, then
+implicit Euler (I - dt*D) u = rhs by batched Thomas sweeps.  Together they
+preserve the discrete comparison principle.  The price-family
 operator is solved in w = log x, where x*d/dx becomes d/dw and the
 transport speed becomes e^w; the degenerate x -> 0 edge maps to w -> -inf
 and is truncated with outflow conditions.
@@ -68,6 +71,9 @@ class CoefficientField:
     a, b, r are callables of (x, y, t) acting on broadcastable arrays (plain
     numbers are wrapped).  lam <= a <= Lam and |b|, |r| <= Lam must hold on
     any grid the field is used on; kind=L additionally requires r == 0.
+    time_independent=True (the default) lets the solver assemble and factor
+    its implicit step once, with the coefficients frozen at the time of the
+    first step; set it to False when a, b or r depend on t.
     """
 
     a: Callable
@@ -278,15 +284,27 @@ def mollify(field: CoefficientField, spec: MollifierSpec,
 # Discrete operators
 # ---------------------------------------------------------------------------
 
-def _coef_arrays(field: CoefficientField, grid: GridSpec, t: float):
-    xs_phys = grid.physical_x(grid.xs)
-    xs_half = grid.physical_x(grid.xs[:-1] + grid.dx / 2.0)
-    X, Y = np.meshgrid(xs_phys, grid.ys, indexing="ij")
-    Xh, Yh = np.meshgrid(xs_half, grid.ys, indexing="ij")
-    a_half = np.asarray(field.a(Xh, Yh, t), dtype=float)
-    b_full = np.asarray(field.b(X, Y, t), dtype=float)
-    r_full = np.asarray(field.r(X, Y, t), dtype=float)
-    return a_half, b_full, r_full
+def _x_bands(field: CoefficientField, grid: GridSpec, t: float):
+    """Bands (lower, diag, upper) of D, the x-part of the operator at time t.
+
+    Row i of D acts on u[i-1], u[i], u[i+1]: flux-form diffusion with a at
+    the half points, central drift b and -r.  The end rows keep only their
+    inner flux (zero-flux ghosts) and no drift, so constants stay exact.
+    """
+    dx = grid.dx
+    X, Y = np.meshgrid(grid.physical_x(grid.xs), grid.ys, indexing="ij")
+    Xh, Yh = np.meshgrid(grid.physical_x(grid.xs[:-1] + dx / 2.0), grid.ys,
+                         indexing="ij")
+    a_half = np.asarray(field.a(Xh, Yh, t), dtype=float) / dx**2
+    drift = np.asarray(field.b(X, Y, t), dtype=float)[1:-1] / (2.0 * dx)
+    lower = np.zeros(X.shape)
+    upper = np.zeros(X.shape)
+    lower[1:] = a_half
+    upper[:-1] = a_half
+    diag = -(lower + upper) - np.asarray(field.r(X, Y, t), dtype=float)
+    lower[1:-1] -= drift
+    upper[1:-1] += drift
+    return lower, diag, upper
 
 
 def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
@@ -303,15 +321,12 @@ def apply_operator(field: CoefficientField, u: np.ndarray, grid: GridSpec,
         raise GridMismatchError(
             f"grid function shape {u.shape} != {(grid.nx, grid.ny)}"
         )
-    a_half, b_full, r_full = _coef_arrays(field, grid, t)
-    speed = grid.physical_x(grid.xs)
-    dx, dy = grid.dx, grid.dy
+    lower, diag, upper = _x_bands(field, grid, t)
+    speed = grid.physical_x(grid.xs)[:, None]
     out = np.zeros_like(u)
-    flux = a_half * (u[1:, :] - u[:-1, :]) / dx
-    out[1:-1, :] = (flux[1:, :] - flux[:-1, :]) / dx
-    out[1:-1, :] += b_full[1:-1, :] * (u[2:, :] - u[:-2, :]) / (2.0 * dx)
-    out[:, 1:-1] += speed[:, None] * ((u[:, 2:] - u[:, :-2]) / (2.0 * dy))
-    out -= r_full * u
+    out[1:-1] = (lower[1:-1] * u[:-2] + diag[1:-1] * u[1:-1]
+                 + upper[1:-1] * u[2:])
+    out[:, 1:-1] += speed * ((u[:, 2:] - u[:, :-2]) / (2.0 * grid.dy))
     out[0, :] = out[-1, :] = 0.0
     out[:, 0] = out[:, -1] = 0.0
     return out
@@ -348,32 +363,13 @@ def _implicit_solver(field: CoefficientField, grid: GridSpec, t: float,
                      dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """solve(rhs) for (I - dt*D), D the x-operator at time t: the Thomas
     factorization is done once here, batched over the y columns."""
-    a_half, b_full, r_full = _coef_arrays(field, grid, t)
-    nx, ny = grid.nx, grid.ny
-    dx = grid.dx
-    lower = np.zeros((nx, ny))
-    upper = np.zeros((nx, ny))
-    diag = np.ones((nx, ny))
-    # zero-flux ghosts: interior rows carry both diffusion couplings
-    al = a_half[:-1, :]   # a_{i-1/2} for interior rows i = 1..nx-2
-    ar = a_half[1:, :]    # a_{i+1/2} for interior rows i = 1..nx-2
-    lower[1:-1, :] = -dt * al / dx**2
-    upper[1:-1, :] = -dt * ar / dx**2
-    diag[1:-1, :] += dt * (al + ar) / dx**2
-    # boundary rows keep the one-sided flux so constants stay exact
-    upper[0, :] = -dt * a_half[0, :] / dx**2
-    diag[0, :] += dt * a_half[0, :] / dx**2
-    lower[-1, :] = -dt * a_half[-1, :] / dx**2
-    diag[-1, :] += dt * a_half[-1, :] / dx**2
-    lower[1:-1, :] += dt * b_full[1:-1, :] / (2.0 * dx)
-    upper[1:-1, :] += -dt * b_full[1:-1, :] / (2.0 * dx)
-    diag += dt * r_full
-
-    w = np.zeros_like(diag)
-    dd = diag.copy()
+    lower, diag, upper = _x_bands(field, grid, t)
+    lower, dd, upper = -dt * lower, 1.0 - dt * diag, -dt * upper
+    nx = grid.nx
+    w = np.zeros_like(dd)
     for i in range(1, nx):
         w[i] = lower[i] / dd[i - 1]
-        dd[i] = diag[i] - w[i] * upper[i - 1]
+        dd[i] -= w[i] * upper[i - 1]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         d = rhs.copy()
