@@ -181,15 +181,23 @@ def _cmd_price(args) -> int:
     return EXIT_OK
 
 
+# --xrange, --yrange and --pole per kind.  On l the x axis is w = log(price):
+# k's w <= 4 gives a transport speed of e^4, which breaks the CFL limit on
+# the default grid, and the pole price must be positive.
+_FD_DEFAULTS = {"k": ("-4,4", "-1.2,1.2", "0,0,0"),
+                "l": ("-2,1.5", "-2.5,1.0", "1,0,0")}
+
+
 def _cmd_fd_solve(args) -> int:
     kind = GeometryKind.K if args.kind == "k" else GeometryKind.L
-    xr = tuple(float(v) for v in args.xrange.split(","))
-    yr = tuple(float(v) for v in args.yrange.split(","))
+    x_default, y_default, pole_default = _FD_DEFAULTS[args.kind]
+    xr = tuple(float(v) for v in (args.xrange or x_default).split(","))
+    yr = tuple(float(v) for v in (args.yrange or y_default).split(","))
     tr = tuple(float(v) for v in args.trange.split(","))
     field = CoefficientField.constant(args.lam, kind=kind)
     grid = GridSpec(x_range=xr, y_range=yr, t_range=tr, nx=args.nx,
                     ny=args.ny, nt=args.nt, kind=kind)
-    pole = _parse_point(args.pole, "--pole")
+    pole = _parse_point(args.pole or pole_default, "--pole")
     sol = approximate_fundamental_solution(field, pole, grid,
                                            delta_width=args.delta_width,
                                            store="final")
@@ -397,18 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fd-solve", help="finite-difference kernel slice to "
                                          "a binary grid file")
-    sp.add_argument("--kind", choices=["k", "l"], default="k",
-                    help="the grid and pole defaults are for k; a working "
-                         "l call is --kind l --pole 1,0,0 --xrange=-2,1.5 "
-                         "--yrange=-2.5,1.0")
+    sp.add_argument("--kind", choices=["k", "l"], default="k")
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.add_argument("--xrange", default="-4,4")
-    sp.add_argument("--yrange", default="-1.2,1.2")
+    sp.add_argument("--xrange", help="default -4,4 for k; -2,1.5 (log price) "
+                                     "for l")
+    sp.add_argument("--yrange", help="default -1.2,1.2 for k; -2.5,1.0 for l")
     sp.add_argument("--trange", default="0,0.5")
     sp.add_argument("--nx", type=int, default=129)
     sp.add_argument("--ny", type=int, default=129)
     sp.add_argument("--nt", type=int, default=128)
-    sp.add_argument("--pole", default="0,0,0")
+    sp.add_argument("--pole", help="default 0,0,0 for k; 1,0,0 for l")
     sp.add_argument("--delta-width", dest="delta_width", type=float,
                     default=3.0)
     sp.add_argument("--out", required=True)

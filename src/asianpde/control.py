@@ -25,7 +25,6 @@ __all__ = [
     "g",
     "g_prime",
     "g_inverse",
-    "g_inverse_array",
     "psi_canonical",
     "psi",
     "psi_direct",
@@ -101,20 +100,6 @@ def g_prime(r: float) -> float:
     return (math.sin(m) - m * math.cos(m)) / (2.0 * m**3)
 
 
-def _g_array(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
-    small = np.abs(r) < 1e-8
-    pos = (r > 0) & ~small
-    neg = ~pos & ~small
-    out[small] = 1.0 + r[small] / 6.0
-    s = np.sqrt(r[pos])
-    out[pos] = np.sinh(s) / s
-    m = np.sqrt(-r[neg])
-    out[neg] = np.sin(m) / m
-    return out
-
-
 def g_inverse(s: float, tol: float = 1e-12) -> float:
     """Solve g(r) = s for r in (-pi^2, inf) by bracketed root find.
 
@@ -151,30 +136,6 @@ def g_inverse(s: float, tol: float = 1e-12) -> float:
             break
         r -= err / g_prime(r)
         r = max(r, -PI_SQ + 1e-300)
-    return r
-
-
-def g_inverse_array(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized g_inverse: bisection on per-element brackets, Newton polish."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("g_inverse requires s > 0")
-    lo = np.full(s.shape, -PI_SQ * (1.0 - 1e-14))
-    hi = np.full(s.shape, 1.0)
-    grow = _g_array(hi) < s
-    while np.any(grow):
-        hi[grow] *= 2.0
-        grow = _g_array(hi) < s
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        high_side = _g_array(mid) > s
-        hi = np.where(high_side, mid, hi)
-        lo = np.where(high_side, lo, mid)
-    r = 0.5 * (lo + hi)
-    for _ in range(2):
-        err = _g_array(r) - s
-        dp = np.array([g_prime(v) for v in np.atleast_1d(r)]).reshape(r.shape)
-        r = np.maximum(r - err / dp, -PI_SQ * (1.0 - 1e-15))
     return r
 
 

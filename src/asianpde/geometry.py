@@ -43,9 +43,6 @@ class EventPoint:
     y: float
     t: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.t], dtype=float)
-
 
 class GeometryKind(Enum):
     K = "K"

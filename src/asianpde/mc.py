@@ -178,7 +178,6 @@ class Histogram2D:
     counts: np.ndarray
     density: np.ndarray
     n_samples: int
-    band_sigmas: float = 3.0
 
     @property
     def x_centers(self) -> np.ndarray:
@@ -193,18 +192,12 @@ class Histogram2D:
         return float((self.x_edges[1] - self.x_edges[0])
                      * (self.y_edges[1] - self.y_edges[0]))
 
-    def band_halfwidth_density(self) -> np.ndarray:
-        """Half-width of the count band translated to density units."""
-        expected = np.maximum(self.counts, 1.0)
-        return self.band_sigmas * np.sqrt(expected) / (self.n_samples
-                                                       * self.bin_area)
-
 
 def empirical_density(
     samples: tuple[np.ndarray, np.ndarray],
     bins: tuple[np.ndarray, np.ndarray],
 ) -> Histogram2D:
-    """Normalized 2D histogram with per-bin Poisson 3-sigma bands."""
+    """Normalized 2D histogram; fraction_within_bands tests it per bin."""
     xs, ys = samples
     if xs.size < 10_000:
         raise ValueError("need at least 1e4 samples for a density estimate")

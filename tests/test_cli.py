@@ -101,13 +101,11 @@ def test_fd_solve_writes_grid(tmp_path, capsys):
     assert abs(frames.sum() * (8 / 64) * (2.4 / 64) - 1.0) < 0.05
 
 
-def test_fd_solve_help_gives_a_working_l_call(tmp_path, capsys):
-    from asianpde.cli import build_parser
-    sub = build_parser()._subparsers._group_actions[0].choices["fd-solve"]
-    text = " ".join(sub.format_help().split())
-    example = re.search(r"--kind l .*?--yrange=\S+", text).group(0).split()
+def test_fd_solve_l_defaults_work(tmp_path, capsys):
+    # grid and pole defaults follow --kind, so the price family runs as is
     out_path = str(tmp_path / "l.grid")
-    code, out, _ = run_cli(["fd-solve", *example, "--out", out_path], capsys)
+    code, out, _ = run_cli(["fd-solve", "--kind", "l", "--out", out_path],
+                           capsys)
     assert code == EXIT_OK
     frames, info = load_grid(out_path)
     assert info["kind"] == "L" and np.all(frames >= 0.0)
@@ -240,8 +238,9 @@ def test_python_m_runs_cli(module, capsys):
      "below the reliable range"),
     # a price whose error estimate misses --tol is refused
     (["price", "--kind", "arithmetic", "--sigma", "0.5"], "above tol"),
-    # the default pole 0,0,0 is for k; the price family needs a positive x
-    (["fd-solve", "--kind", "l", "--out", "l.grid"], "pole needs x > 0"),
+    # the price family needs a positive pole price
+    (["fd-solve", "--kind", "l", "--pole", "0,0,0", "--out", "l.grid"],
+     "pole needs x > 0"),
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
         "price-missed-tol", "fd-solve-l-default-pole"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asianpde.control import (PI_SQ, ControlEndpoints, InfeasibleError,
-                              PsiBranch, g, g_inverse, g_inverse_array, psi,
+                              PsiBranch, g, g_inverse, psi,
                               psi_bruteforce, psi_canonical, psi_direct)
 from asianpde.geometry import EventPoint, GeometryKind, compose
 
@@ -68,13 +68,6 @@ def test_g_inverse_tiny_argument_no_overflow():
     r = g_inverse(1e-12)
     assert -PI_SQ < r < -PI_SQ + 1e-9
     assert g(r) == pytest.approx(1e-12, rel=1e-3)
-
-
-def test_g_inverse_array_matches_scalar():
-    s = np.array([0.2, 0.9, 1.0, 1.5, 7.0])
-    rs = g_inverse_array(s)
-    for si, ri in zip(s, rs):
-        assert ri == pytest.approx(g_inverse(float(si)), abs=1e-9)
 
 
 def test_g_inverse_meets_residual_contract():

@@ -210,6 +210,39 @@ def test_max_principle_band():
     assert float(sol.final.min()) >= init.min() * math.exp(-1.0 * dt) - 1e-9
 
 
+def test_implicit_step_matches_apply_operator():
+    # one step on y-constant data: transport is exactly zero, so the step
+    # solves (u1 - u0)/dt = D u1, with D the operator apply_operator applies
+    grid = GridSpec(x_range=(-3.0, 3.0), y_range=(-1.0, 1.0),
+                    t_range=(0.0, 0.01), nx=41, ny=9, nt=1)
+    field = CoefficientField(a=lambda x, y, t: 1.0 + 0.5 * np.sin(x),
+                             b=lambda x, y, t: 0.8 * np.cos(x),
+                             r=lambda x, y, t: 0.2 + 0.02 * x**2,
+                             lam=0.5, Lam=1.5)
+    X, _ = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    u0 = np.exp(-X**2)
+    u1 = solve_cauchy(field, u0, grid, store="final").final
+    lhs = ((u1 - u0) / grid.dt)[1:-1, 1:-1]
+    rhs = apply_operator(field, u1, grid, grid.ts[1])[1:-1, 1:-1]
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+def test_time_dependent_coefficients_rebuild_each_step():
+    # r = t on constant data: each implicit step divides by 1 + dt * t_n
+    grid = GridSpec(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0),
+                    t_range=(0.0, 1.0), nx=9, ny=9, nt=16)
+    ones = np.ones((grid.nx, grid.ny))
+    dt, ts = grid.dt, grid.ts[1:]
+    expected = {False: np.prod(1.0 / (1.0 + dt * ts)),
+                # the default freezes the coefficients at the first step
+                True: (1.0 + dt * ts[0]) ** -grid.nt}
+    for time_independent, value in expected.items():
+        field = CoefficientField(a=1.0, b=0.0, r=lambda x, y, t: t, lam=1.0,
+                                 Lam=1.0, time_independent=time_independent)
+        sol = solve_cauchy(field, ones, grid, store="final")
+        assert np.allclose(sol.final, value, rtol=1e-12, atol=0.0)
+
+
 def test_cfl_violation_raises():
     grid = GridSpec(x_range=(-4.0, 4.0), y_range=(-1.0, 1.0),
                     t_range=(0.0, 1.0), nx=33, ny=257, nt=16)

@@ -125,19 +125,6 @@ def test_empirical_density_needs_samples():
                           (np.linspace(0, 1, 5), np.linspace(0, 1, 5)))
 
 
-def test_band_width_scaling_with_paths():
-    rng = np.random.default_rng(6)
-    bins = (np.linspace(0, 1, 11), np.linspace(0, 1, 11))
-    h1 = empirical_density((rng.uniform(0, 1, 100_000),
-                            rng.uniform(0, 1, 100_000)), bins)
-    h2 = empirical_density((rng.uniform(0, 1, 200_000),
-                            rng.uniform(0, 1, 200_000)), bins)
-    w1 = float(np.mean(h1.band_halfwidth_density()))
-    w2 = float(np.mean(h2.band_halfwidth_density()))
-    ratio = w1 / w2
-    assert abs(ratio - math.sqrt(2.0)) <= 0.1 * math.sqrt(2.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=0, n_steps=8, seed=0)
