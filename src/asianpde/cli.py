@@ -1,5 +1,6 @@
 """Command-line front end: kernel/psi/price evaluation, FD solves, MC runs,
-and validation suites, with CSV/JSON artifacts.
+and the acceptance criteria of :mod:`asianpde.acceptance`, with CSV/JSON
+artifacts.
 
 Config precedence is CLI flag > config file > default; a config key that
 conflicts with an explicit flag is reported to stderr, never silently
@@ -13,7 +14,9 @@ Without installing, run it as ``python -m asianpde`` (with ``src`` on
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
+import io
 import json
 import math
 import sys
@@ -21,12 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .control import ControlEndpoints, psi, psi_bruteforce, psi_direct
+from .control import ControlEndpoints, psi
 from .fd import (CoefficientField, GridSpec, approximate_fundamental_solution,
                  save_grid)
 from .geometry import EventPoint, GeometryKind
 from .kernels import (KernelParams, ThetaConvergenceError, gamma_k,
-                      gamma_k_array, gamma_k_mass, gamma_l1, gamma_l1_mass,
                       gamma_l_lambda)
 from .mc import Averaging, McConfig, ModelSpec, mc_price, simulate_terminal
 from .pricing import (GrowthBound, PricingSpec, ToleranceNotMetError,
@@ -96,12 +98,13 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
 
 def _write_csv(path: str | None, header: Sequence[str],
                rows: Sequence[Sequence]) -> None:
-    lines = ["# created " + datetime.datetime.now().isoformat()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float)
-                              else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write("# created " + datetime.datetime.now().isoformat() + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    text = buf.getvalue()
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -221,115 +224,25 @@ def _cmd_mc(args) -> int:
     return EXIT_OK
 
 
-# -- validation suites -------------------------------------------------------
-
-def _suite_normalization(tol: float):
-    rows = []
-    for lam in (0.5, 1.0, 2.0):
-        for dt in (0.1, 1.0):
-            mass = gamma_k_mass(KernelParams(lam),
-                                EventPoint(0.2, -0.1, dt), 0.0)
-            rows.append([f"k_mass_lam{lam}_dt{dt}", mass, 1.0,
-                         abs(mass - 1.0), abs(mass - 1.0) <= tol])
-    mass_l = gamma_l1_mass(EventPoint(1.0, 0.0, 1.0), 0.0).value
-    rows.append(["l1_mass_(1,0,1)", mass_l, 1.0, abs(mass_l - 1.0),
-                 abs(mass_l - 1.0) <= max(tol, 1e-3)])
-    return rows
-
-
-def _suite_reproduction(tol: float):
-    lam = 1.0
-    t0, tau, t = 0.0, 0.5, 1.0
-    xe = np.linspace(-6.0, 6.0, 121)
-    ye = np.linspace(-4.0, 4.0, 121)
-    from ._quadrature import panel_nodes, uniform_edges
-    xn, xw = panel_nodes(uniform_edges(-7.0, 7.0, 0.5), 12)
-    yn, yw = panel_nodes(uniform_edges(-5.0, 5.0, 0.25), 12)
-    XX = np.repeat(xn, yn.size)
-    YY = np.tile(yn, xn.size)
-    WW = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
-    inner = gamma_k_array(lam, XX, YY, tau, 0.0, 0.0, t0)
-    rows = []
-    worst = 0.0
-    for x in np.linspace(-2.0, 2.0, 9):
-        for y in np.linspace(-1.5, 1.5, 9):
-            direct = float(gamma_k_array(lam, x, y, t, 0.0, 0.0, t0))
-            outer = gamma_k_array(lam, x, y, t, XX, YY, tau)
-            composed = float(np.dot(WW, outer * inner))
-            worst = max(worst, abs(composed - direct))
-    rows.append(["k_reproduction_max_abs", worst, 0.0, worst, worst <= tol])
-    return rows
-
-
-def _suite_psi(tol: float):
-    rows = []
-    for (x, y, t) in [(1.0, -2.0, 2.0), (1.0, -1.0, 2.0), (4.0, -2.0, 1.0)]:
-        closed = psi(ControlEndpoints(start=EventPoint(x, y, t),
-                                      end=EventPoint(1.0, 0.0, 0.0))).cost
-        brute = psi_bruteforce(
-            ControlEndpoints(start=EventPoint(x, y, t),
-                             end=EventPoint(1.0, 0.0, 0.0)),
-            n_steps=32, iterations=200)
-        gap = brute - closed
-        ok = -1e-9 <= gap <= max(0.02 * closed, 1e-6)
-        rows.append([f"psi_({x},{y},{t})", closed, brute, gap, ok])
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(200):
-        x0, x1 = rng.uniform(0.5, 2.0, 2)
-        t0 = rng.uniform(0.0, 1.0)
-        t1 = t0 + rng.uniform(0.2, 2.0)
-        y0 = rng.uniform(-1.0, 1.0)
-        y1 = y0 - rng.uniform(0.1, 2.0)
-        ep = ControlEndpoints(start=EventPoint(x1, y1, t1),
-                              end=EventPoint(x0, y0, t0))
-        a, b = psi(ep).cost, psi_direct(ep).cost
-        if max(a, b) > 0:
-            worst = max(worst, abs(a - b) / max(a, b))
-    rows.append(["psi_invariance_rel", worst, 0.0, worst, worst <= 1e-10])
-    return rows
-
-
-def _suite_mass_band(tol: float):
-    lam, Lam = 0.5, 1.5
-
-    def a_fn(x, y, t):
-        return lam + (Lam - lam) / (1.0 + x**2 + y**2)
-
-    def b_fn(x, y, t):
-        return 0.1 * np.sin(x)
-
-    field = CoefficientField(a=a_fn, b=b_fn, r=0.0, lam=lam, Lam=Lam)
-    grid = GridSpec(x_range=(-5.0, 7.0), y_range=(-1.5, 2.5),
-                    t_range=(0.0, 0.75), nx=129, ny=129, nt=192)
-    sol = approximate_fundamental_solution(field, EventPoint(2.0, 0.8, 0.0),
-                                           grid, delta_width=2.5)
-    dt = 0.75
-    mass = float(sol.mass_history[-1])
-    lo, hi = math.exp(-Lam * dt) * (1 - 0.02), math.exp(Lam * dt) * (1 + 0.02)
-    return [["fd_mass_band", mass, 1.0, abs(mass - 1.0),
-             lo <= mass <= hi]]
-
-
-_SUITES = {
-    "normalization": _suite_normalization,
-    "reproduction": _suite_reproduction,
-    "psi": _suite_psi,
-    "mass-band": _suite_mass_band,
-}
-
-
 def _cmd_validate(args) -> int:
-    if args.suite not in _SUITES:
+    from . import acceptance  # only validate runs it; the import stays lazy
+
+    suites = {str(n): [n] for n in acceptance.CRITERIA}
+    suites["all"] = sorted(acceptance.CRITERIA)
+    if args.suite not in suites:
         return _usage_error(
-            f"--suite must be one of {sorted(_SUITES)}, got {args.suite!r}"
+            f"--suite must be 'all' or a criterion number "
+            f"{min(acceptance.CRITERIA)}..{max(acceptance.CRITERIA)}, "
+            f"got {args.suite!r}"
         )
-    rows = _SUITES[args.suite](args.tol)
-    _write_csv(args.output, ["case", "value", "target", "discrepancy", "pass"],
-               rows)
-    failures = [r[0] for r in rows if not r[-1]]
+    rows = []
+    for n in suites[args.suite]:
+        passed, detail, seconds = acceptance.run(n)
+        rows.append([n, passed, seconds, detail])
+    _write_csv(args.output, ["criterion", "pass", "seconds", "detail"], rows)
+    failures = [n for n, passed, _, _ in rows if not passed]
     if failures:
-        report = {"suite": args.suite, "tol": args.tol, "failed": failures,
+        report = {"suite": args.suite, "failed": failures,
                   "n_cases": len(rows)}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return EXIT_VALIDATION
@@ -344,7 +257,7 @@ _CSV_HELP = {
     "price": "columns: spec (kind:sigma:rate:strike:T:spot), price, error, "
              "method",
     "mc": "columns: quantity (mean_S|se_S|mean_A|se_A), value",
-    "validate": "columns: case, value, target, discrepancy, pass",
+    "validate": "columns: criterion, pass, seconds, detail",
 }
 
 
@@ -352,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="asianpde",
         description="Kernels, control values, FD solves, MC runs and "
-                    "validation suites for averaged-payoff option models.",
+                    "acceptance criteria for averaged-payoff option models.",
         epilog="CSV artifacts start with one '# created <timestamp>' comment "
                "line; bodies are byte-identical across reruns with the same "
                "config and seed. " + "; ".join(
@@ -366,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "reported")
         sp.add_argument("--output", default=None,
                         help="CSV artifact path (stdout when omitted)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized work")
 
     sp = sub.add_parser("kernel", help="evaluate a closed-form kernel; "
                                        + _CSV_HELP["kernel"])
@@ -400,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--steps", type=int, default=256)
     sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--seed", type=int, default=0, help="seed of MC paths")
     add_common(sp)
     sp.set_defaults(func=_cmd_price)
 
@@ -434,15 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--paths", type=int, default=100_000)
     sp.add_argument("--steps", type=int, default=256)
     sp.add_argument("--antithetic", action="store_true")
+    sp.add_argument("--seed", type=int, default=0, help="seed of MC paths")
     add_common(sp)
     sp.set_defaults(func=_cmd_mc)
 
-    sp = sub.add_parser("validate", help="run a validation suite; exit 2 on "
-                                         "failure with a JSON report; "
+    sp = sub.add_parser("validate", help="run acceptance criteria, one row "
+                                         "each; exit 2 on a failure with a "
+                                         "JSON report; "
                                          + _CSV_HELP["validate"])
     sp.add_argument("--suite", required=True,
-                    help=f"one of {sorted(_SUITES)}")
-    sp.add_argument("--tol", type=float, default=1e-4)
+                    help="'all' or one criterion number, 1..12")
     add_common(sp)
     sp.set_defaults(func=_cmd_validate)
     return p

@@ -362,8 +362,16 @@ class Solution:
 def _implicit_solver(field: CoefficientField, grid: GridSpec, t: float,
                      dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """solve(rhs) for (I - dt*D), D the x-operator at time t: the Thomas
-    factorization is done once here, batched over the y columns."""
+    factorization is done once here, batched over the y columns.
+
+    Raises ValueError when D has a negative off-diagonal: I - dt*D is then
+    no M-matrix and the step can turn nonnegative data negative."""
     lower, diag, upper = _x_bands(field, grid, t)
+    if (lower < 0.0).any() or (upper < 0.0).any():
+        raise ValueError(
+            f"drift dominates diffusion on the x grid at t={float(t)!r}: the "
+            f"cell Peclet condition a >= |b|*dx/2 fails with "
+            f"dx={float(grid.dx)!r}; refine nx")
     lower, dd, upper = -dt * lower, 1.0 - dt * diag, -dt * upper
     nx = grid.nx
     w = np.zeros_like(dd)
@@ -390,8 +398,9 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
 
     Lie splitting: explicit upwind transport in y (monotone under the CFL
     constraint), then implicit Euler for the x-diffusion/drift/zero-order
-    block (unconditionally stable M-matrix solve).  For r >= 0 the scheme
-    obeys the discrete maximum principle.  store: 'all' | 'final'.
+    block (an M-matrix solve while a >= |b|*dx/2, refused with ValueError
+    where that cell Peclet condition fails).  For r >= 0 the scheme obeys
+    the discrete maximum principle.  store: 'all' | 'final'.
     """
     if initial.shape != (grid.nx, grid.ny):
         raise GridMismatchError(

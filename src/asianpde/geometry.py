@@ -4,8 +4,8 @@ Two non-commutative group laws live here: an additive-with-shear law on R^3
 (the log-price geometry, kind K) and a multiplicative-in-x law on
 R^+ x R^2 (the price geometry, kind L).  Both come with the anisotropic
 quasi-distance that matches the kernel scaling exponents (1, 1/3, 1/2),
-a sampling-based Holder seminorm estimator, and a bracket-rank check for
-the hard-coded vector-field frames.
+a sampling-based Holder seminorm estimator, and the bracket rank of their
+vector-field frames.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "EventPoint",
@@ -152,26 +150,14 @@ def holder_seminorm(
     return HolderEstimate(alpha=alpha, seminorm=best, sample_count=len(samples))
 
 
-def _frame(kind: GeometryKind, p: EventPoint) -> np.ndarray:
-    # Rows: diffusion field X, drift field Y, commutator [X, Y].
-    if kind is GeometryKind.K:
-        return np.array(
-            [[1.0, 0.0, 0.0], [0.0, p.x, -1.0], [0.0, 1.0, 0.0]]
-        )
-    return np.array(
-        [[p.x, 0.0, 0.0], [0.0, p.x, -1.0], [0.0, p.x, 0.0]]
-    )
-
-
 def lie_rank(kind: GeometryKind, p: EventPoint) -> int:
     """Rank of the frame {X, Y, [X, Y]} evaluated at p.
 
-    The determinant is evaluated in closed form (1 for K, x^2 for L), so
-    the rank stays 3 arbitrarily close to the degenerate edge x -> 0+
-    where a generic SVD-based rank would lose conditioning.
+    With X the diffusion field, Y the drift field and [X, Y] their
+    commutator, the frame's determinant is 1 for K and x^2 for L.  Both are
+    nonzero wherever the geometry is defined, so the rank is 3 there,
+    arbitrarily close to the degenerate edge x -> 0+, where x^2 itself
+    underflows and a numerical rank would lose conditioning.
     """
     _require_positive_x(kind, p)
-    det = 1.0 if kind is GeometryKind.K else p.x * p.x
-    if det != 0.0:
-        return 3
-    return int(np.linalg.matrix_rank(_frame(kind, p)))
+    return 3

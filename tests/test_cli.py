@@ -1,4 +1,5 @@
 """Command-line front end: outputs, exit codes, config handling, idempotence."""
+import csv
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import asianpde
+from asianpde import acceptance
 from asianpde.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 from asianpde.fd import load_grid
 
@@ -115,22 +117,24 @@ def test_fd_solve_l_defaults_work(tmp_path, capsys):
 
 def test_validate_reproduction_suite(tmp_path, capsys):
     out_path = str(tmp_path / "rep.csv")
-    code, _, err = run_cli(["validate", "--suite", "reproduction",
-                            "--tol", "2e-2", "--output", out_path], capsys)
+    code, _, err = run_cli(["validate", "--suite", "2",
+                            "--output", out_path], capsys)
     assert code == EXIT_OK
-    rows = open(out_path).read().strip().splitlines()
-    assert rows[1] == "case,value,target,discrepancy,pass"
-    assert all(r.endswith("True") for r in rows[2:])
+    rows = list(csv.reader(body(open(out_path).read()).splitlines()))
+    assert rows[0] == ["criterion", "pass", "seconds", "detail"]
+    (n, passed, _, detail), = rows[1:]  # the detail's comma stays quoted
+    assert (n, passed) == ("2", "True")
+    assert detail.startswith("L1 discrepancy = ") and ", runtime" in detail
 
 
-def test_validate_failure_exit_code(capsys):
-    # an unreachable tolerance forces a failure report and exit 2
-    code, out, err = run_cli(["validate", "--suite", "normalization",
-                              "--tol", "1e-18"], capsys)
+def test_validate_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setitem(acceptance.CRITERIA, 1, lambda: (False, "forced"))
+    code, out, err = run_cli(["validate", "--suite", "1"], capsys)
     assert code == EXIT_VALIDATION
     report = json.loads(err.strip().splitlines()[-1])
-    assert report["suite"] == "normalization"
-    assert report["failed"]
+    assert report == {"suite": "1", "failed": [1], "n_cases": 1}
+    (n, passed, _, detail), = list(csv.reader(body(out).splitlines()))[1:]
+    assert (n, passed, detail) == ("1", "False", "forced")
 
 
 def test_validate_unknown_suite(capsys):
@@ -176,8 +180,8 @@ def test_config_unknown_key(tmp_path, capsys):
 def test_help_documents_csv_columns():
     from asianpde.cli import build_parser
     text = build_parser().format_help()
-    for token in ("price", "error", "method", "case", "discrepancy",
-                  "mean_S", "cost", "branch"):
+    for token in ("price", "error", "method", "criterion", "seconds",
+                  "detail", "mean_S", "cost", "branch"):
         assert token in text
 
 
@@ -259,7 +263,8 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, asianpde.cli; print(sorted(m for m in sys.modules if m "
-         "in ('scipy.stats', 'scipy.optimize', 'scipy.integrate')))"],
+         "in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
+         "'asianpde.acceptance')))"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

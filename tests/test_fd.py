@@ -199,6 +199,18 @@ def test_nonnegative_data_stay_nonnegative():
         assert float(sol.final.min()) >= -1e-12
 
 
+def test_drift_dominated_cell_is_refused():
+    # a = 0.05 < |b|*dx/2 = 0.5: the implicit step is no M-matrix, and
+    # unchecked it took this nonnegative datum down to -0.354
+    grid = GridSpec(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0),
+                    t_range=(0.0, 0.1), nx=9, ny=9, nt=4)
+    field = CoefficientField(a=0.05, b=4.0, r=0.0, lam=0.05, Lam=4.0)
+    init = np.zeros((grid.nx, grid.ny))
+    init[4] = 1.0
+    with pytest.raises(ValueError, match="cell Peclet condition"):
+        solve_cauchy(field, init, grid)
+
+
 def test_max_principle_band():
     grid = make_grid(nx=65, ny=65, nt=64)
     field = CoefficientField(a=1.0, b=0.0, r=0.3, lam=1.0, Lam=1.0)

@@ -288,8 +288,9 @@ def test_lie_rank_l():
 
 
 def test_lie_rank_l_near_degenerate_edge():
-    # the determinant is evaluated in closed form, so conditioning cannot
-    # break the answer even at x = 1e-12
-    assert lie_rank(L, kpoint(1e-12, 0.0, 0.0)) == 3
+    # the determinant x^2 is nonzero for every x > 0, even where it
+    # underflows in floating point (x = 1e-170, the subnormal 5e-324)
+    for x in (1e-12, 1e-170, 5e-324):
+        assert lie_rank(L, kpoint(x, 0.0, 0.0)) == 3
     with pytest.raises(ValueError):
         lie_rank(L, kpoint(0.0, 0.0, 0.0))
