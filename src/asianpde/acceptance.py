@@ -317,7 +317,7 @@ def criterion_10_dual_method_pricing():
                          sigma=sigma_g, rate=0.0,
                          growth=GrowthBound(M=1.0, C=1.5, alpha=1.0),
                          kink_lines=(0.0,))
-    prob_g = transform_geometric(spec_g, sigma_g, 0.0)
+    prob_g = transform_geometric(spec_g)
     kp_g = price(prob_g, EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
     model_g = ModelSpec(mu=-lam_g, sigma=sigma_g, r=0.0,
                         averaging=Averaging.GEOMETRIC)
@@ -358,9 +358,7 @@ def criterion_12_initial_datum_attainment():
     spec = PricingSpec(payoff=plateau, kind=Averaging.GEOMETRIC, strike=1.0,
                        maturity=1.0, sigma=math.sqrt(2 * lam), rate=0.0,
                        growth=GrowthBound(M=1.5, C=0.1, alpha=1.0))
-    prob = CauchyProblem(field=CoefficientField.constant(lam),
-                         initial=plateau, kind=GeometryKind.K, spec=spec,
-                         constant_coeffs=(0.0, lam))
+    prob = CauchyProblem(spec=spec, initial=plateau)
     target = 1.0  # plateau value at the approach point (0, 0)
     worst = 0.0
     for dt in (1e-1, 1e-2, 1e-3):

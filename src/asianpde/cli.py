@@ -155,7 +155,7 @@ def _cmd_price(args) -> int:
                            maturity=T, sigma=sigma, rate=rate,
                            growth=GrowthBound(M=1.0, C=1.5 / T, alpha=1.0),
                            kink_lines=(T * math.log(strike),))
-        problem = transform_geometric(spec, sigma, rate)
+        problem = transform_geometric(spec)
         point = EventPoint(math.log(args.spot), 0.0, T)
         model = ModelSpec(mu=rate - lam, sigma=sigma, r=rate,
                           averaging=Averaging.GEOMETRIC)
@@ -210,7 +210,7 @@ def _cmd_fd_solve(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    model = ModelSpec(mu=args.mu, sigma=args.sigma, r=args.rate,
+    model = ModelSpec(mu=args.mu, sigma=args.sigma,
                       averaging=Averaging.GEOMETRIC
                       if args.kind == "geometric" else Averaging.ARITHMETIC)
     cfg = McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed,
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, default=0.0,
                     help="exponent drift of the log price")
     sp.add_argument("--sigma", type=float, required=True)
-    sp.add_argument("--rate", type=float, default=0.0)
     sp.add_argument("--spot", type=float, default=1.0)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--paths", type=int, default=100_000)

@@ -1,14 +1,14 @@
 """Path-simulation oracle: log-exact stepping, pathwise averaging, pricing.
 
-The price process is stepped in log space (exact increments for constant
-coefficients), the running average by the trapezoid rule, and every draw
-comes from a counter-based generator keyed by (seed, path block) so results
-are bitwise reproducible and independent of worker layout.
+The price process has constant coefficients and is stepped exactly in log
+space, the running average by the trapezoid rule, and every draw comes
+from a counter-based generator keyed by (seed, path block) so results are
+bitwise reproducible and independent of worker layout.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -34,24 +34,18 @@ class Averaging(Enum):
     ARITHMETIC = "arithmetic"  # average of price
 
 
-def _as_fn(c) -> Callable:
-    if callable(c):
-        return c
-    return lambda s, a, t: np.full_like(np.asarray(s, float), float(c))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Price dynamics and averaging choice.
+    """Constant-coefficient price dynamics and averaging choice.
 
-    mu is the exponent drift of the log price (for constants,
-    S_t = S_0 * exp(mu*t + sigma*W_t)); the Ito drift is mu + sigma^2/2.
-    mu, sigma, r may be constants or callables of (S, A, t).
+    mu is the exponent drift of the log price,
+    S_t = S_0 * exp(mu*t + sigma*W_t), so the Ito drift is mu + sigma^2/2;
+    r is the interest rate that discounts a payoff.
     """
 
-    mu: float | Callable = 0.0
-    sigma: float | Callable = 1.0
-    r: float | Callable = 0.0
+    mu: float = 0.0
+    sigma: float = 1.0
+    r: float = 0.0
     averaging: Averaging = Averaging.ARITHMETIC
 
 
@@ -71,7 +65,6 @@ class McConfig:
 class TerminalSamples:
     s: np.ndarray
     a: np.ndarray
-    log_discount: np.ndarray  # accumulated integral of r along each path
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -95,25 +88,23 @@ def simulate_terminal(
     horizon: float,
     cfg: McConfig,
 ) -> TerminalSamples:
-    """Terminal (S_T, A_T) samples, with the pathwise discount integral.
+    """Terminal (S_T, A_T) samples.
 
-    Log-Euler steps for S (exact in law for constant mu, sigma); A and the
-    discount accumulate by the trapezoid rule.  Antithetic mode pairs the
-    halves of each block with mirrored normal draws.
+    Log-Euler steps for S, exact in law; A accumulates by the trapezoid
+    rule.  Antithetic mode pairs adjacent paths of each block with mirrored
+    normal draws.
     """
     s0, a0 = start
     if s0 <= 0.0:
         raise ValueError(f"starting price must be positive, got {s0}")
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    mu, sg, rf = _as_fn(model.mu), _as_fn(model.sigma), _as_fn(model.r)
     favg = _avg_fn(model)
     dt = horizon / cfg.n_steps
-    sqdt = math.sqrt(dt)
+    drift, vol = model.mu * dt, model.sigma * math.sqrt(dt)
 
     out_s = np.empty(cfg.n_paths)
     out_a = np.empty(cfg.n_paths)
-    out_d = np.empty(cfg.n_paths)
     n_blocks = (cfg.n_paths + PATH_BLOCK - 1) // PATH_BLOCK
     for b in range(n_blocks):
         i0 = b * PATH_BLOCK
@@ -123,8 +114,6 @@ def simulate_terminal(
         logs = np.full(m, math.log(s0))
         s = np.full(m, s0)
         a = np.full(m, a0)
-        disc = np.zeros(m)
-        t = 0.0
         for _ in range(cfg.n_steps):
             if cfg.antithetic:
                 # mirrored draws on adjacent paths (2k, 2k+1); the block
@@ -136,16 +125,12 @@ def simulate_terminal(
             else:
                 z = gen.standard_normal(m)
             f_prev = favg(s)
-            r_prev = rf(s, a, t)
-            logs = logs + mu(s, a, t) * dt + sg(s, a, t) * sqdt * z
+            logs = logs + drift + vol * z
             s = np.exp(logs)
-            t += dt
             a = a + 0.5 * dt * (f_prev + favg(s))
-            disc = disc + 0.5 * dt * (r_prev + rf(s, a, t))
         out_s[i0:i1] = s
         out_a[i0:i1] = a
-        out_d[i0:i1] = disc
-    return TerminalSamples(s=out_s, a=out_a, log_discount=out_d)
+    return TerminalSamples(s=out_s, a=out_a)
 
 
 def mc_price(
@@ -157,14 +142,15 @@ def mc_price(
 ) -> tuple[float, float]:
     """Discounted expectation of payoff(S_T, A_T) from (S, A, t).
 
-    Returns (estimate, standard error); discounting is exp(-integral of r)
-    accumulated pathwise.
+    Returns (estimate, standard error); the payoff is discounted by
+    exp(-r * (maturity - t)).
     """
     s, a, t = point
     if t >= maturity:
         raise ValueError("evaluation time must precede maturity")
     samples = simulate_terminal(model, (s, a), maturity - t, cfg)
-    vals = np.exp(-samples.log_discount) * payoff(samples.s, samples.a)
+    vals = math.exp(-model.r * (maturity - t)) \
+        * payoff(samples.s, samples.a)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(cfg.n_paths)) \
         if cfg.n_paths > 1 else 0.0

@@ -1,13 +1,14 @@
 """Cauchy-problem transforms and representation-formula pricing.
 
-A problem carries its payoff spec and constant coefficients (r, lambda);
-`price` integrates the fundamental solution of the problem's family against
-the transformed payoff, u = integral of Gamma * phi.  The quadrature is
-carried out in kernel-adapted coordinates (standardized Gaussian variables
-for the log-price family, density coordinates for the price family), with
-panel edges inserted at payoff kinks and truncation radii chosen so the
-discarded envelope mass times the growth bound stays below the requested
-tolerance.  A price whose error estimate misses the tolerance is refused.
+A problem is a payoff spec, the only holder of sigma and r, and its payoff
+on the state plane of the spec's family; `price` integrates that family's
+fundamental solution against it, u = integral of Gamma * phi with lambda =
+sigma^2/2.  The quadrature runs in kernel-adapted coordinates (standardized
+Gaussian variables for the log-price family, density coordinates for the
+price family), with panel edges inserted at payoff kinks and truncation
+radii chosen so the discarded envelope mass times the growth bound stays
+below the requested tolerance.  A price whose error estimate misses the
+tolerance is refused.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import panel_nodes
-from .fd import CoefficientField
-from .geometry import EventPoint, GeometryKind
+from .geometry import EventPoint
 from .kernels import KernelParams, KernelResult, yor_density_batch
 from .mc import Averaging
 
@@ -71,8 +71,9 @@ class PricingSpec:
 
     For kind=GEOMETRIC the payoff takes (S, A) with A the integrated log
     price; for ARITHMETIC it takes (S, A) with A the integrated price.
-    kink_lines lists y-values where the transformed payoff has kinks so the
-    quadrature can split panels there.
+    sigma and rate are the constant volatility and interest rate, the only
+    copy of them that pricing reads.  kink_lines lists y-values where the
+    transformed payoff has kinks so the quadrature can split panels there.
     """
 
     payoff: Callable
@@ -92,12 +93,8 @@ class PricingSpec:
 
 @dataclass(frozen=True)
 class CauchyProblem:
-    field: CoefficientField
+    spec: PricingSpec
     initial: Callable            # transformed payoff on the state plane
-    kind: GeometryKind
-    t0: float = 0.0
-    spec: PricingSpec | None = None
-    constant_coeffs: tuple[float, float] | None = None   # (r, lambda)
 
 
 def geometric_call_payoff(strike: float, maturity: float) -> Callable:
@@ -118,70 +115,28 @@ def arithmetic_call_payoff(strike: float, maturity: float) -> Callable:
 # Problem transforms
 # ---------------------------------------------------------------------------
 
-def _coef_fn(c) -> Callable:
-    if callable(c):
-        return c
-    return lambda x, y, t: np.full_like(np.asarray(x, float), float(c))
-
-
-def transform_geometric(spec: PricingSpec, sigma, r) -> CauchyProblem:
+def transform_geometric(spec: PricingSpec) -> CauchyProblem:
     """Log-price change of variables v(x, y, t) = Z(e^x, y, T - t).
 
-    Produces the divergence-form problem with a = sigma^2/2 and
-    b = r - sigma^2/2 - sigma * d(sigma)/dx, initial datum
+    The problem is the log-price family's, a = sigma^2/2, b = r - sigma^2/2
+    and zero-order rate r from the spec, with initial datum
     phi~(x, y) = payoff(e^x, y).
     """
     if spec.kind is not Averaging.GEOMETRIC:
         raise ValueError("transform_geometric needs a geometric-kind spec")
-    sig, rf = _coef_fn(sigma), _coef_fn(r)
-
-    def a_fn(x, y, t):
-        return 0.5 * sig(x, y, t) ** 2
-
-    def b_fn(x, y, t):
-        h = 1e-5
-        dsig = (sig(np.asarray(x) + h, y, t) - sig(np.asarray(x) - h, y, t)) \
-            / (2.0 * h)
-        return rf(x, y, t) - 0.5 * sig(x, y, t) ** 2 - sig(x, y, t) * dsig
-
-    # ellipticity metadata sampled on a reference lattice
-    gx, gy = np.meshgrid(np.linspace(-5, 5, 21), np.linspace(-5, 5, 21),
-                         indexing="ij")
-    a_s = np.asarray(a_fn(gx, gy, 0.0), float)
-    b_s = np.abs(np.asarray(b_fn(gx, gy, 0.0), float))
-    r_s = np.abs(np.asarray(rf(gx, gy, 0.0), float))
-    lam = float(np.min(a_s)) * (1.0 - 1e-9)
-    Lam = float(max(np.max(a_s), np.max(b_s), np.max(r_s), lam)) \
-        * (1.0 + 1e-9)
-    fld = CoefficientField(a=a_fn, b=b_fn, r=rf, lam=lam, Lam=Lam,
-                           kind=GeometryKind.K)
-
     payoff = spec.payoff
 
     def initial(x, y):
         return payoff(np.exp(np.asarray(x, float)), y)
 
-    cc = None
-    if not callable(sigma) and not callable(r):
-        cc = (float(r), 0.5 * float(sigma) * float(sigma))
-    return CauchyProblem(field=fld, initial=initial, kind=GeometryKind.K,
-                         spec=spec, constant_coeffs=cc)
+    return CauchyProblem(spec=spec, initial=initial)
 
 
 def make_arithmetic_problem(spec: PricingSpec) -> CauchyProblem:
     """Price-family problem; no change of variables, payoff used directly."""
     if spec.kind is not Averaging.ARITHMETIC:
         raise ValueError("needs an arithmetic-kind spec")
-    lam = 0.5 * spec.sigma * spec.sigma
-    fld = CoefficientField(a=lam, b=0.0, r=0.0, lam=lam, Lam=max(lam, 1.0),
-                           kind=GeometryKind.L)
-    payoff = spec.payoff
-
-    def initial(x, y):
-        return payoff(x, y)
-
-    return CauchyProblem(field=fld, initial=initial, kind=GeometryKind.L,
-                         spec=spec, constant_coeffs=(0.0, lam))
+    return CauchyProblem(spec=spec, initial=spec.payoff)
 
 
 def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
@@ -237,9 +192,7 @@ def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
 def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
                    lam: float, tol: float) -> KernelResult:
     spec = problem.spec
-    x, y, dt = point.x, point.y, point.t - problem.t0
-    if dt <= 0.0:
-        raise ValueError("evaluation time must exceed the initial time")
+    x, y, dt = point.x, point.y, point.t
     # shift onto the drift-free model operator, discount at the end
     x = x + (r - lam) * dt
     y = y + (lam - r) * dt**2 / 2.0
@@ -292,11 +245,9 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
 def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
                    tol: float) -> KernelResult:
     spec = problem.spec
-    x, y, dt = point.x, point.y, point.t - problem.t0
+    x, y, dt = point.x, point.y, point.t
     if x <= 0.0:
         raise ValueError("price-family evaluation needs x > 0")
-    if dt <= 0.0:
-        raise ValueError("evaluation time must exceed the initial time")
     t_yor = lam * dt / 2.0
     phi = problem.initial
     w_half = 8.0 * math.sqrt(t_yor) + 3.0
@@ -321,9 +272,16 @@ def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
         return (float(np.dot(wts, dens * payoff_vals)),
                 float(np.dot(np.abs(wts), derr * np.abs(payoff_vals))))
 
-    coarse, _ = integrate(8, 0.5)
-    fine, qerr = integrate(12, 0.34)
-    err = abs(fine - coarse) + qerr + tol / 10.0
+    # the estimate's density term is the larger of the two rules' terms, so
+    # a coarse term that alone misses tol is refused before the fine rule
+    coarse, qerr = integrate(8, 0.5)
+    if qerr + tol / 10.0 > tol:
+        raise ToleranceNotMetError(
+            f"price {coarse:.6g} has error estimate at least "
+            f"{qerr + tol / 10.0:.3g}, above tol {tol:.3g}"
+        )
+    fine, qerr_fine = integrate(12, 0.34)
+    err = abs(fine - coarse) + max(qerr, qerr_fine) + tol / 10.0
     value = fine
     if value < 0.0:
         err += -value
@@ -336,35 +294,34 @@ def price(problem: CauchyProblem, point: EventPoint,
           tol: float = 1e-6) -> KernelResult:
     """Representation-formula price: kernel integrated against the payoff.
 
-    The kernel follows problem.kind: the Gaussian Gamma_K for the log-price
-    family, Gamma_L through Yor's density for the price family.  Its
-    diffusion constant lambda = sigma^2/2 and the rate r are read from
-    problem.constant_coeffs = (r, lambda); a problem without them or
-    without a payoff spec raises ValueError, and so does a rate on the
-    price family, which has no discounting here.  The payoff must satisfy
-    the spec's growth bound (checked on a lattice scaled to the truncation
-    box); alpha=2 growth refuses maturities beyond 1/(8*C*lambda).  A
-    result whose error estimate exceeds tol raises ToleranceNotMetError.
+    The kernel follows problem.spec.kind: the Gaussian Gamma_K for the
+    log-price family, Gamma_L through Yor's density for the price family.
+    Its diffusion constant lambda = sigma^2/2 and the rate r come from
+    spec.sigma and spec.rate; a rate on the price family, which has no
+    discounting here, raises ValueError.  The payoff must satisfy the spec's
+    growth bound (checked on a lattice scaled to the truncation box);
+    alpha=2 growth refuses maturities beyond 1/(8*C*lambda).  A result
+    whose error estimate exceeds tol raises ToleranceNotMetError.
     """
-    if problem.spec is None or problem.constant_coeffs is None:
-        raise ValueError("pricing needs a payoff spec and constant "
-                         "coefficients (r, lambda)")
-    r, lam = problem.constant_coeffs
+    spec = problem.spec
+    r, lam = spec.rate, 0.5 * spec.sigma * spec.sigma
     KernelParams(lam)  # refuses lambda <= 0
-    if problem.kind is GeometryKind.L and r != 0.0:
+    if point.t <= 0.0:
+        raise ValueError(f"evaluation time must be positive, got {point.t}")
+    geometric = spec.kind is Averaging.GEOMETRIC
+    if not geometric and r != 0.0:
         raise ValueError("the price-family kernel prices only r = 0")
     lat = np.linspace(-10, 10, 41)
     LX, LY = np.meshgrid(lat, lat, indexing="ij")
-    if problem.kind is GeometryKind.L:
+    if not geometric:
         LX = np.exp(np.linspace(-6, 6, 41))[:, None] * np.ones((1, 41))
         LY = np.abs(LY)
-    ok, worst = growth_check(problem.spec, (LX, LY),
-                             transformed=problem.initial)
+    ok, worst = growth_check(spec, (LX, LY), transformed=problem.initial)
     if not ok:
         raise GrowthViolationError(
             f"payoff exceeds its growth bound (worst ratio {worst:.3g})"
         )
-    if problem.kind is GeometryKind.K:
+    if geometric:
         res = _price_gamma_k(problem, point, r, lam, tol)
     else:
         res = _price_gamma_l(problem, point, lam, tol)

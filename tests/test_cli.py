@@ -242,11 +242,15 @@ def test_python_m_runs_cli(module, capsys):
      "below the reliable range"),
     # a price whose error estimate misses --tol is refused
     (["price", "--kind", "arithmetic", "--sigma", "0.5"], "above tol"),
+    # the price-family kernel has no discounting, so it refuses a rate
+    (["price", "--kind", "arithmetic", "--sigma", "1.4142135623730951",
+      "--rate", "0.05"], "r = 0"),
     # the price family needs a positive pole price
     (["fd-solve", "--kind", "l", "--pole", "0,0,0", "--out", "l.grid"],
      "pole needs x > 0"),
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
-        "price-missed-tol", "fd-solve-l-default-pole"])
+        "price-missed-tol", "price-arithmetic-rate",
+        "fd-solve-l-default-pole"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "asianpde", *argv],
                           capture_output=True, text=True, env=_child_env(),
@@ -268,3 +272,13 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_pricing_import_leaves_fd_unloaded():
+    # pricing reads its constants from the spec, not from an FD field
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, asianpde.pricing; print('asianpde.fd' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

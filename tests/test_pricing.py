@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from asianpde import pricing
 from asianpde.fd import CoefficientField, GridSpec, solve_cauchy
-from asianpde.geometry import EventPoint, GeometryKind
+from asianpde.geometry import EventPoint
+from asianpde.kernels import yor_density_batch
 from asianpde.mc import Averaging, McConfig, ModelSpec, mc_price
 from asianpde.pricing import (CauchyProblem, GrowthBound,
                               GrowthViolationError, MaturityLimitError,
@@ -47,27 +49,17 @@ def test_transform_unit_payoff():
     spec = geometric_spec(payoff=unit_payoff,
                           growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
                           kinks=())
-    prob = transform_geometric(spec, 0.4, 0.0)
+    prob = transform_geometric(spec)
     xs = np.linspace(-3, 3, 7)
     assert np.allclose(prob.initial(xs, xs), 1.0)
 
 
 def test_transform_call_payoff_substitution():
     spec = geometric_spec(strike=1.2)
-    prob = transform_geometric(spec, 0.4, 0.0)
+    prob = transform_geometric(spec)
     ys = np.linspace(-1, 1, 9)
     expect = np.maximum(np.exp(ys / 1.0) - 1.2, 0.0)
     assert np.allclose(prob.initial(np.zeros_like(ys), ys), expect)
-
-
-def test_transform_coefficients():
-    spec = geometric_spec(sigma=0.5, rate=0.03)
-    prob = transform_geometric(spec, 0.5, 0.03)
-    a = float(prob.field.a(np.array(0.3), np.array(0.1), 0.0))
-    b = float(prob.field.b(np.array(0.3), np.array(0.1), 0.0))
-    assert a == pytest.approx(0.125, rel=1e-12)
-    assert b == pytest.approx(0.03 - 0.125, rel=1e-9)  # constant sigma
-    assert prob.constant_coeffs == (0.03, 0.125)
 
 
 def test_transform_requires_geometric_kind():
@@ -75,7 +67,7 @@ def test_transform_requires_geometric_kind():
                        kind=Averaging.ARITHMETIC, strike=1.0, maturity=1.0,
                        sigma=1.0)
     with pytest.raises(ValueError):
-        transform_geometric(spec, 1.0, 0.0)
+        transform_geometric(spec)
 
 
 # -- growth check -----------------------------------------------------------------
@@ -116,7 +108,7 @@ def test_price_unit_payoff_is_one():
     spec = geometric_spec(payoff=unit_payoff,
                           growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
                           kinks=())
-    prob = transform_geometric(spec, 0.4, 0.0)
+    prob = transform_geometric(spec)
     res = price(prob, EventPoint(0.0, 0.0, 1.0), tol=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -125,7 +117,7 @@ def test_price_geometric_call_matches_lognormal_oracle():
     for sigma, rate, strike in [(0.4, 0.0, 1.0), (0.3, 0.05, 1.1),
                                 (0.5, 0.02, 0.9)]:
         spec = geometric_spec(sigma=sigma, rate=rate, strike=strike)
-        prob = transform_geometric(spec, sigma, rate)
+        prob = transform_geometric(spec)
         res = price(prob, EventPoint(0.0, 0.0, 1.0), tol=1e-8)
         ref = lognormal_geometric_call(sigma, rate, strike, 1.0)
         assert res.value == pytest.approx(ref, abs=5e-7)
@@ -134,9 +126,9 @@ def test_price_geometric_call_matches_lognormal_oracle():
 def test_price_linearity_in_payoff():
     spec1 = geometric_spec(strike=1.0)
     spec2 = geometric_spec(strike=1.2)
-    p1 = price(transform_geometric(spec1, 0.4, 0.0),
+    p1 = price(transform_geometric(spec1),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
-    p2 = price(transform_geometric(spec2, 0.4, 0.0),
+    p2 = price(transform_geometric(spec2),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
 
     def combo(s, a):
@@ -145,7 +137,7 @@ def test_price_linearity_in_payoff():
 
     spec3 = geometric_spec(payoff=combo, growth=GrowthBound(5.0, 1.5, 1.0),
                            kinks=(0.0, math.log(1.2)))
-    p3 = price(transform_geometric(spec3, 0.4, 0.0),
+    p3 = price(transform_geometric(spec3),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
     assert p3 == pytest.approx(2.0 * p1 + 3.0 * p2, abs=2e-6)
 
@@ -155,7 +147,7 @@ def test_price_growth_violation_raises():
     spec = geometric_spec(payoff=bad,
                           growth=GrowthBound(M=1.0, C=0.5, alpha=1.0),
                           kinks=())
-    prob = transform_geometric(spec, 0.4, 0.0)
+    prob = transform_geometric(spec)
     with pytest.raises(GrowthViolationError):
         price(prob, EventPoint(0.0, 0.0, 1.0))
 
@@ -164,7 +156,7 @@ def test_price_alpha_two_maturity_refusal():
     spec = geometric_spec(payoff=unit_payoff,
                           growth=GrowthBound(M=2.0, C=1.0, alpha=2.0),
                           kinks=())
-    prob = transform_geometric(spec, 0.4, 0.0)
+    prob = transform_geometric(spec)
     lam = 0.08
     limit = 1.0 / (8.0 * 1.0 * lam)
     with pytest.raises(MaturityLimitError):
@@ -173,13 +165,40 @@ def test_price_alpha_two_maturity_refusal():
     assert ok.value == pytest.approx(1.0, abs=1e-5)
 
 
-def test_price_arithmetic_unit_payoff():
+@pytest.fixture
+def density_calls(monkeypatch):
+    """Counts the price family's calls into Yor's density, one per rule."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return yor_density_batch(*args)
+
+    monkeypatch.setattr(pricing, "yor_density_batch", counted)
+    return calls
+
+
+def test_price_arithmetic_unit_payoff(density_calls):
     spec = PricingSpec(payoff=unit_payoff, kind=Averaging.ARITHMETIC,
                        strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
                        growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
     prob = make_arithmetic_problem(spec)
     res = price(prob, EventPoint(1.0, 0.0, 1.0), tol=1e-5)
     assert res.value == pytest.approx(1.0, abs=1e-4)
+    assert len(density_calls) == 2
+
+
+def test_price_family_refuses_after_the_coarse_rule(density_calls):
+    # sigma = 1, T = 1 call: the coarse rule's density term alone exceeds
+    # tol, so the fine rule never runs
+    spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, 1.0),
+                       kind=Averaging.ARITHMETIC, strike=1.0, maturity=1.0,
+                       sigma=1.0, growth=GrowthBound(M=4.0, C=1.0, alpha=1.0),
+                       kink_lines=(1.0,))
+    with pytest.raises(ToleranceNotMetError, match="above tol"):
+        price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, 1.0),
+              tol=1e-5)
+    assert len(density_calls) == 1
 
 
 def test_price_initial_datum_attainment():
@@ -190,12 +209,10 @@ def test_price_initial_datum_attainment():
         rho = np.hypot(np.asarray(x, float), np.asarray(y, float))
         return 1.0 / (1.0 + np.maximum(rho - 1.0, 0.0) ** 2)
 
-    spec = geometric_spec(payoff=plateau,
+    spec = geometric_spec(payoff=plateau, sigma=math.sqrt(2.0 * lam),
                           growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
                           kinks=())
-    prob = CauchyProblem(field=CoefficientField.constant(lam),
-                         initial=plateau, kind=GeometryKind.K, spec=spec,
-                         constant_coeffs=(0.0, lam))
+    prob = CauchyProblem(spec=spec, initial=plateau)
     for dt in (1e-1, 1e-2, 1e-3):
         for (dx, dy) in [(0.0, 0.0), (0.3 * dt, 0.0), (0.1 * dt, -0.2 * dt)]:
             res = price(prob, EventPoint(dx, dy, dt), tol=1e-8)
@@ -206,18 +223,20 @@ def test_price_representation_matches_fd():
     # constant coefficients: kernel-quadrature price vs the transformed
     # problem solved directly by the FD scheme, on a (strike, maturity) grid
     sigma, rate = 0.4, 0.0
+    lam = 0.5 * sigma * sigma
+    field = CoefficientField(a=lam, b=rate - lam, r=rate, lam=lam, Lam=1.0)
     for strike in (0.9, 1.0, 1.1):
         for maturity in (0.75, 1.0, 1.25):
             spec = geometric_spec(strike=strike, maturity=maturity,
                                   sigma=sigma, rate=rate)
-            prob = transform_geometric(spec, sigma, rate)
+            prob = transform_geometric(spec)
             kernel_price = price(prob, EventPoint(0.0, 0.0, maturity),
                                  tol=1e-8).value
             grid = GridSpec(x_range=(-1.6, 1.6), y_range=(-0.9, 0.9),
                             t_range=(0.0, maturity), nx=129, ny=513,
                             nt=int(math.ceil(515 * maturity)))
             X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-            sol = solve_cauchy(prob.field, prob.initial(X, Y), grid,
+            sol = solve_cauchy(field, prob.initial(X, Y), grid,
                                store="final")
             i = np.argmin(np.abs(grid.xs))
             j = np.argmin(np.abs(grid.ys))
@@ -230,7 +249,7 @@ def test_dual_method_quick():
     sigma, strike, maturity = 0.4, 1.0, 1.0
     lam = 0.5 * sigma**2
     spec = geometric_spec(sigma=sigma, strike=strike, maturity=maturity)
-    prob = transform_geometric(spec, sigma, 0.0)
+    prob = transform_geometric(spec)
     kernel_price = price(prob, EventPoint(0.0, 0.0, maturity),
                          tol=1e-8).value
     model = ModelSpec(mu=-lam, sigma=sigma, r=0.0,
@@ -240,31 +259,13 @@ def test_dual_method_quick():
     assert abs(kernel_price - est) <= 3.0 * se
 
 
-def test_price_needs_constant_coefficients():
-    # a callable sigma leaves no (r, lambda) to read the kernel from
-    spec = geometric_spec()
-    prob = transform_geometric(spec, lambda x, y, t: 0.4 + 0 * x, 0.0)
-    assert prob.constant_coeffs is None
-    with pytest.raises(ValueError, match="constant"):
-        price(prob, EventPoint(0.0, 0.0, 1.0))
-    no_spec = CauchyProblem(field=CoefficientField.constant(0.08),
-                            initial=spec.payoff, kind=GeometryKind.K,
-                            constant_coeffs=(0.0, 0.08))
-    with pytest.raises(ValueError, match="spec"):
-        price(no_spec, EventPoint(0.0, 0.0, 1.0))
-
-
 def test_price_family_refuses_a_rate():
     spec = PricingSpec(payoff=unit_payoff, kind=Averaging.ARITHMETIC,
                        strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
-                       growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
-    prob = make_arithmetic_problem(spec)
-    assert prob.constant_coeffs == pytest.approx((0.0, 1.0), rel=1e-15)
-    with_rate = CauchyProblem(field=prob.field, initial=prob.initial,
-                              kind=GeometryKind.L, spec=spec,
-                              constant_coeffs=(0.05, 1.0))
+                       rate=0.05, growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
     with pytest.raises(ValueError, match="r = 0"):
-        price(with_rate, EventPoint(1.0, 0.0, 1.0), tol=1e-5)
+        price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, 1.0),
+              tol=1e-5)
 
 
 def test_price_refuses_missed_tolerance():
@@ -276,11 +277,11 @@ def test_price_refuses_missed_tolerance():
 
     growth = GrowthBound(M=1.5, C=0.1, alpha=1.0)
     hidden = transform_geometric(
-        geometric_spec(payoff=digital, growth=growth, kinks=()), 0.4, 0.0)
+        geometric_spec(payoff=digital, growth=growth, kinks=()))
     with pytest.raises(ToleranceNotMetError, match="above tol"):
         price(hidden, EventPoint(0.0, 0.0, 1.0), tol=1e-6)
     declared = transform_geometric(
-        geometric_spec(payoff=digital, growth=growth, kinks=(0.0,)), 0.4, 0.0)
+        geometric_spec(payoff=digital, growth=growth, kinks=(0.0,)))
     res = price(declared, EventPoint(0.0, 0.0, 1.0), tol=1e-6)
     assert res.abs_error_estimate <= 1e-6
     # P(mean of the log price > 0) with mean -lam/2 and variance sigma^2/3
