@@ -13,14 +13,19 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
+    """Gauss-Legendre nodes/weights tiled over consecutive panels.
+
+    Panels run along the last axis of `edges`; leading axes are batch axes,
+    each row giving the same nodes as a 1-D call on it."""
     x, w = gauss_legendre(order)
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    a = edges[..., :-1]
+    b = edges[..., 1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+    weights = (half[..., None] * w).reshape(shape)
     return nodes, weights
 
 

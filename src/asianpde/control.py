@@ -23,7 +23,6 @@ __all__ = [
     "InfeasibleError",
     "NonConvergenceError",
     "g",
-    "g_prime",
     "g_inverse",
     "psi_canonical",
     "psi",
@@ -89,17 +88,6 @@ def g(r: float) -> float:
     return math.sin(m) / m
 
 
-def g_prime(r: float) -> float:
-    """Derivative of g; used only to polish root finds."""
-    if abs(r) < 1e-6:
-        return 1.0 / 6.0 + r / 60.0
-    if r > 0.0:
-        s = math.sqrt(r)
-        return (s * math.cosh(s) - math.sinh(s)) / (2.0 * r * s)
-    m = math.sqrt(-r)
-    return (math.sin(m) - m * math.cos(m)) / (2.0 * m**3)
-
-
 def g_inverse(s: float, tol: float = 1e-12) -> float:
     """Solve g(r) = s for r in (-pi^2, inf) by bracketed root find.
 
@@ -128,15 +116,8 @@ def g_inverse(s: float, tol: float = 1e-12) -> float:
             if delta < 1e-300:
                 raise ValueError(f"g_inverse argument too small: {s}")
         lo = -PI_SQ + delta
-    r = brentq(lambda rr: g(rr) - s, lo, hi, xtol=tol, rtol=1e-15, maxiter=200)
-    # Newton polish to meet |g(r) - s| <= tol even where g is steep.
-    for _ in range(3):
-        err = g(r) - s
-        if abs(err) <= tol * max(1.0, abs(s)):
-            break
-        r -= err / g_prime(r)
-        r = max(r, -PI_SQ + 1e-300)
-    return r
+    return brentq(lambda rr: g(rr) - s, lo, hi, xtol=tol, rtol=1e-15,
+                  maxiter=200)
 
 
 def _two_branch_cost(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import asianpde
-from asianpde import acceptance
+from asianpde import acceptance, cli
 from asianpde.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 from asianpde.fd import load_grid
 
@@ -42,6 +42,21 @@ def test_kernel_command_origin_value(capsys):
     assert code == EXIT_OK
     assert float(out.strip()) == pytest.approx(math.sqrt(3) / (2 * math.pi),
                                                rel=1e-12)
+
+
+def test_run_builds_its_parser_once_and_keeps_defaults(monkeypatch, capsys):
+    # the second run omits the --lambda the first set, and gets the default
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    argv = ["kernel", "--kind", "k", "--point", "0,0,1", "--pole", "0,0,0"]
+    _, first, _ = run_cli(argv + ["--lambda", "2"], capsys)
+    _, second, _ = run_cli(argv, capsys)
+    assert len(built) == 1
+    assert float(first) != float(second)
+    assert float(second) == pytest.approx(math.sqrt(3) / (2 * math.pi),
+                                          rel=1e-12)
 
 
 def test_kernel_command_l_kind(capsys):

@@ -1,5 +1,7 @@
 """Transforms, growth checks, and representation-formula pricing."""
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +142,76 @@ def test_price_linearity_in_payoff():
     p3 = price(transform_geometric(spec3),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
     assert p3 == pytest.approx(2.0 * p1 + 3.0 * p2, abs=2e-6)
+
+
+@pytest.fixture
+def edge_blocks(monkeypatch):
+    """Edge matrices of the Gamma_K tensor rule, one per block of rows."""
+    blocks, panel_nodes = [], pricing.panel_nodes
+
+    def recorded(edges, order):
+        if np.ndim(edges) == 2:
+            blocks.append(np.array(edges))
+        return panel_nodes(edges, order)
+
+    monkeypatch.setattr(pricing, "panel_nodes", recorded)
+    return blocks
+
+
+def rows_with_kinks_outside(blocks, n):
+    """Rows whose n kink edges all sit at the first panel's midpoint."""
+    count = 0
+    for e in blocks:
+        mid = 0.5 * (e[:, 0] + e[:, n + 1])
+        count += int(np.sum(np.all(e[:, 1:n + 1] == mid[:, None], axis=1)))
+    return count
+
+
+@pytest.mark.parametrize("sigma,maturity,strike,rate", list(
+    itertools.product((0.1, 0.6), (0.25, 2.0), (0.8, 1.25), (0.0, 0.08))))
+def test_price_geometric_book_grid(sigma, maturity, strike, rate,
+                                   edge_blocks):
+    spec = geometric_spec(sigma=sigma, rate=rate, strike=strike,
+                          maturity=maturity)
+    res = price(transform_geometric(spec), EventPoint(0.0, 0.0, maturity),
+                tol=1e-8)
+    ref = lognormal_geometric_call(sigma, rate, strike, maturity)
+    assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
+    assert rows_with_kinks_outside(edge_blocks, 1) > 0
+
+
+@pytest.mark.parametrize("sigma,maturity", [(0.1, 0.25), (0.4, 1.0),
+                                            (0.6, 2.0)])
+def test_price_two_kinks_outside_the_box(sigma, maturity, edge_blocks):
+    def combo(s, a):
+        return (2.0 * geometric_call_payoff(1.0, maturity)(s, a)
+                + 3.0 * geometric_call_payoff(1.2, maturity)(s, a))
+
+    # kink lines in descending order: each row sorts its own edges
+    spec = geometric_spec(payoff=combo, sigma=sigma, maturity=maturity,
+                          growth=GrowthBound(5.0, 1.5 / maturity, 1.0),
+                          kinks=(maturity * math.log(1.2), 0.0))
+    res = price(transform_geometric(spec), EventPoint(0.0, 0.0, maturity),
+                tol=1e-8)
+    ref = (2.0 * lognormal_geometric_call(sigma, 0.0, 1.0, maturity)
+           + 3.0 * lognormal_geometric_call(sigma, 0.0, 1.2, maturity))
+    assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
+    assert rows_with_kinks_outside(edge_blocks, 2) > 0
+
+
+def test_price_geometric_memory_peak():
+    # T = 0.25 gives the largest truncation radius over the maturities the
+    # benchmark prices; the row blocks keep one price's working memory small
+    spec = geometric_spec(sigma=0.6, rate=0.08, strike=1.25, maturity=0.25)
+    prob, point = transform_geometric(spec), EventPoint(0.0, 0.0, 0.25)
+    price(prob, point, tol=1e-8)
+    tracemalloc.start()
+    try:
+        price(prob, point, tol=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_price_growth_violation_raises():
