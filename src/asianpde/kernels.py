@@ -141,17 +141,14 @@ def _theta_envelope(xi: np.ndarray, z: float, t: float) -> np.ndarray:
 def _theta_cutoff(z: float, t: float, floor: float) -> float:
     """Smallest xi beyond which the non-oscillatory envelope stays < floor."""
     step = max(t, 0.25)
-    xi = step
-    peak = 0.0
     # hard cap: beyond this the Gaussian factor alone underflows
     cap = math.sqrt(2.0 * t * 750.0) + 5.0
-    while xi < cap:
-        env = float(_theta_envelope(np.array([xi]), z, t)[0])
-        peak = max(peak, env)
-        if env < floor and env <= peak:
-            return xi
-        xi += step
-    return cap
+    # step, 2*step, ... as a running sum: k * step can round differently and
+    # move ceil(cutoff / t), the panel count, by one
+    xi = np.cumsum(np.full(int(cap / step) + 2, step))
+    xi = xi[xi < cap]
+    below = np.flatnonzero(_theta_envelope(xi, z, t) < floor)
+    return float(xi[below[0]]) if below.size else cap
 
 
 def _theta_edges(z: float, t: float, tol: float) -> np.ndarray:
@@ -171,6 +168,13 @@ def _theta_edges(z: float, t: float, tol: float) -> np.ndarray:
             f"{n_half} oscillation panels exceed the limit {THETA_MAX_PANELS}"
         )
     return np.linspace(0.0, n_half * t, n_half + 1)
+
+
+def _check_t_tol(t: float, tol: float) -> None:
+    if t <= 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
 
 def theta(z_arg: float, t: float, tol: float = 1e-10) -> KernelResult:
@@ -198,15 +202,16 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
     cutoff) and reused for every z.  The per-z error estimate is the
     disagreement of two Gauss rules (orders 24 and 48 per panel) plus an
     explicit roundoff floor eps * integral(|integrand|) and the truncation
-    bound.  Values below that floor are returned as 0.
+    bound.  Values below that floor are returned as 0.  The z are taken in
+    chunks of at most 1e6 z-by-node matrix elements, which bounds the
+    working memory of a call.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise ValueError("z values must be positive")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_t_tol(t, tol)
+    if z.size == 0:
+        return np.zeros(z.shape), np.zeros(z.shape)
     zmin = float(np.min(z))
     edges = _theta_edges(zmin, t, tol)
     xs_a, ws_a = panel_nodes(edges, _THETA_ORDER)
@@ -222,7 +227,7 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
             flat = z.ravel()
             out = vals.ravel()
             sc = scales.ravel()
-            chunk = max(1, int(4e6 // max(xs.size, 1)))
+            chunk = max(1, int(1e6 // max(xs.size, 1)))
             for i in range(0, flat.size, chunk):
                 zz = flat[i:i + chunk, None]
                 damp = np.exp(-zz * np.cosh(xs)[None, :])
@@ -255,16 +260,26 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized density over matching arrays of (w, y) at one shared t.
 
+    p = prefactor(w, y, t) * theta(e^w / y, t).  theta is evaluated once per
+    distinct z = e^w / y among the points whose prefactor is nonzero; where
+    the prefactor underflows to 0 the value and estimate are exactly 0.
     Negative quadrature dust is clamped to 0 and its magnitude added to the
     error estimate."""
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("y values must be positive")
-    z = np.exp(w) / y
-    th, th_err = theta_batch(z, t, tol)
+    _check_t_tol(t, tol)
     with np.errstate(under="ignore", over="ignore"):
         pref = np.exp(_yor_prefactor_log(w, y, t))
+    live = pref > 0.0
+    z = np.exp(w[live]) / y[live]
+    zs, back = np.unique(z, return_inverse=True)
+    vals, errs = theta_batch(zs, t, tol)
+    th = np.zeros(pref.shape)
+    th_err = np.zeros(pref.shape)
+    th[live] = vals[back]
+    th_err[live] = errs[back]
     raw = pref * th
     err = pref * th_err + np.where(raw < 0.0, -raw, 0.0)
     return np.maximum(raw, 0.0), err

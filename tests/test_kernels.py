@@ -20,16 +20,21 @@ here.  To regenerate them (mpmath 1.3):
         return pref * theta(exp(w) / y, t)
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from asianpde import kernels
 from asianpde._quadrature import panel_nodes, uniform_edges
 from asianpde.geometry import EventPoint, GeometryKind, compose
 from asianpde.kernels import (KernelParams, KernelResult, ThetaConvergenceError,
                               gamma_k, gamma_k_array, gamma_k_mass, gamma_l1,
                               gamma_l1_array, gamma_l1_mass, gamma_l_lambda,
                               theta, theta_batch, yor_density_batch, yor_mass)
+from asianpde.mc import Averaging
+from asianpde.pricing import (GrowthBound, PricingSpec, arithmetic_call_payoff,
+                              make_arithmetic_problem, price)
 
 # mpmath (dps=40), integral over (0, 26) in unit half-period panels
 THETA_1_1 = 0.041857361969840540943
@@ -173,6 +178,33 @@ def test_theta_batch_reference_values():
             assert abs(v - THETA_REF[(z, t)]) <= e
 
 
+def test_theta_batch_empty_input():
+    vals, errs = theta_batch(np.array([]), 0.5)
+    assert vals.shape == errs.shape == (0,)
+
+
+def _stepped_cutoff(z, t, floor):
+    # reference: walk xi = step, 2*step, ... one point at a time
+    step = max(t, 0.25)
+    xi = step
+    cap = math.sqrt(2.0 * t * 750.0) + 5.0
+    while xi < cap:
+        if kernels._theta_envelope(np.array([xi]), z, t)[0] < floor:
+            return xi
+        xi += step
+    return cap
+
+
+def test_theta_cutoff_matches_stepping_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        z = float(np.exp(rng.uniform(-8.0, 8.0)))
+        t = float(rng.uniform(0.05, 3.0))
+        floor = float(10.0 ** rng.uniform(-30.0, -5.0))
+        assert kernels._theta_cutoff(z, t, floor) == \
+            _stepped_cutoff(z, t, floor)
+
+
 def test_kernel_result_validation():
     with pytest.raises(ValueError):
         KernelResult(value=-1.0, abs_error_estimate=0.0, tolerance_used=1e-6)
@@ -185,6 +217,63 @@ def test_yor_args_validation():
         yor_density_batch(np.array([0.0]), np.array([-1.0]), 1.0)
     with pytest.raises(ValueError):
         yor_density_batch(np.array([0.0]), np.array([1.0]), 0.0)
+    # checked before the prefactor, even where every prefactor is 0
+    with pytest.raises(ValueError):
+        yor_density_batch(np.array([0.0]), np.array([1e-6]), -1.0)
+    with pytest.raises(ValueError):
+        yor_density_batch(np.array([0.0]), np.array([1e-6]), 1.0, 0.0)
+
+
+def test_yor_density_empty_input():
+    vals, errs = yor_density_batch(np.array([]), np.array([]), 0.5)
+    assert vals.shape == errs.shape == (0,)
+
+
+def _repeated_grid():
+    # a tensor grid stacked twice, with a row of y so small that the
+    # prefactor underflows to 0
+    ws = np.linspace(-2.0, 2.0, 9)
+    ys = np.concatenate(([1e-6], np.geomspace(0.05, 30.0, 8)))
+    W, Y = np.meshgrid(ws, ys)
+    return np.tile(W.ravel(), 2), np.tile(Y.ravel(), 2)
+
+
+def test_yor_density_evaluates_theta_once_per_live_z(monkeypatch):
+    seen = []
+
+    def recording(z, t, tol=1e-10):
+        seen.append(np.array(z))
+        return theta_batch(z, t, tol)
+
+    monkeypatch.setattr(kernels, "theta_batch", recording)
+    w, y = _repeated_grid()
+    t = 1.0
+    yor_density_batch(w, y, t, 1e-10)
+    live = np.exp(kernels._yor_prefactor_log(w, y, t)) > 0.0
+    assert 0 < live.sum() < w.size
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], np.unique((np.exp(w) / y)[live]))
+    assert seen[0].size <= live.sum() // 2
+
+
+def test_yor_density_doubled_input_gives_each_half_bitwise():
+    w, y = _repeated_grid()
+    vals, errs = yor_density_batch(w, y, 0.8, 1e-10)
+    vals2, errs2 = yor_density_batch(np.tile(w, 2), np.tile(y, 2), 0.8, 1e-10)
+    for half in (slice(0, w.size), slice(w.size, None)):
+        np.testing.assert_array_equal(vals2[half], vals)
+        np.testing.assert_array_equal(errs2[half], errs)
+
+
+def test_yor_density_dead_points_are_exactly_zero():
+    vals, errs = yor_density_batch(np.array([0.0]), np.array([1e-6]), 1.0)
+    assert vals[0] == 0.0 and errs[0] == 0.0
+    w = np.array([0.0, 0.2, 1.5, 0.3])
+    y = np.array([1e-6, 0.8, 1e-6, 5.0])
+    vals, errs = yor_density_batch(w, y, 1.0, 1e-12)
+    assert vals[0] == errs[0] == vals[2] == errs[2] == 0.0
+    assert abs(vals[1] - YOR_REF[(0.2, 0.8)]) <= errs[1]
+    assert vals[3] > 0.0 and errs[3] > 0.0
 
 
 def test_yor_density_reference_point():
@@ -221,6 +310,25 @@ def test_yor_density_batch_reference_values():
     vals, errs = yor_density_batch(w, y, 1.0, 1e-12)
     for ref, v, e in zip(YOR_REF.values(), vals, errs):
         assert abs(v - ref) <= e
+
+
+def test_arithmetic_price_memory_peak():
+    # Yor time sigma^2 T / 4 = 0.5; theta's chunked z-by-node matrices and
+    # the full-size index arrays of the pricing grid set the peak
+    T = 2.0 / 1.21
+    spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, T),
+                       kind=Averaging.ARITHMETIC, strike=1.0, maturity=T,
+                       sigma=1.1, growth=GrowthBound(M=2.0 + 2.0 / T,
+                                                     C=1.0 / T, alpha=1.0),
+                       kink_lines=(T,))
+    tracemalloc.start()
+    try:
+        price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, T),
+              tol=1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20
 
 
 # -- price-family kernel -----------------------------------------------------
