@@ -40,12 +40,19 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 
 
-def _parse_point(text: str, key: str) -> EventPoint:
+def _parse_floats(text: str, key: str, form: str) -> tuple[float, ...]:
+    """The comma-separated floats of text, as many as form has fields."""
     try:
-        x, y, t = (float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise SystemExit(_usage_error(f"{key} must be 'x,y,t', got {text!r}"))
-    return EventPoint(x, y, t)
+        values = ()
+    if len(values) != len(form.split(",")):
+        raise SystemExit(_usage_error(f"{key} must be '{form}', got {text!r}"))
+    return values
+
+
+def _parse_point(text: str, key: str) -> EventPoint:
+    return EventPoint(*_parse_floats(text, key, "x,y,t"))
 
 
 def _usage_error(msg: str) -> int:
@@ -194,9 +201,9 @@ _FD_DEFAULTS = {"k": ("-4,4", "-1.2,1.2", "0,0,0"),
 def _cmd_fd_solve(args) -> int:
     kind = GeometryKind.K if args.kind == "k" else GeometryKind.L
     x_default, y_default, pole_default = _FD_DEFAULTS[args.kind]
-    xr = tuple(float(v) for v in (args.xrange or x_default).split(","))
-    yr = tuple(float(v) for v in (args.yrange or y_default).split(","))
-    tr = tuple(float(v) for v in args.trange.split(","))
+    xr = _parse_floats(args.xrange or x_default, "--xrange", "lo,hi")
+    yr = _parse_floats(args.yrange or y_default, "--yrange", "lo,hi")
+    tr = _parse_floats(args.trange, "--trange", "lo,hi")
     field = CoefficientField.constant(args.lam, kind=kind)
     grid = GridSpec(x_range=xr, y_range=yr, t_range=tr, nx=args.nx,
                     ny=args.ny, nt=args.nt, kind=kind)

@@ -5,8 +5,9 @@ The x-part D of the operator (flux-form diffusion, central drift, -r) is
 assembled in one place, as the three bands of a tridiagonal matrix per y
 column; apply_operator and the implicit step both read those bands.  Time
 stepping is Lie splitting: explicit monotone upwind transport in y, then
-implicit Euler (I - dt*D) u = rhs by batched Thomas sweeps.  Together they
-preserve the discrete comparison principle.  The price-family
+implicit Euler (I - dt*D) u = rhs, one block-diagonal tridiagonal system
+over all y columns, factored by LAPACK gttrf and solved by gttrs.  Together
+they preserve the discrete comparison principle.  The price-family
 operator is solved in w = log x, where x*d/dx becomes d/dw and the
 transport speed becomes e^w; the degenerate x -> 0 edge maps to w -> -inf
 and is truncated with outflow conditions.
@@ -35,6 +36,7 @@ __all__ = [
     "BoundViolationError",
     "CflError",
     "GridMismatchError",
+    "SolveError",
     "Solution",
     "mollify",
     "apply_operator",
@@ -56,6 +58,10 @@ class CflError(ValueError):
 
 class GridMismatchError(ValueError):
     """Incompatible grid shapes."""
+
+
+class SolveError(ValueError):
+    """The implicit step is singular or the march left the finite floats."""
 
 
 def _const_fn(c: float) -> Callable:
@@ -85,8 +91,8 @@ class CoefficientField:
     time_independent: bool = True
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lam <= self.Lam):
-            raise ValueError("need 0 < lam <= Lam")
+        if not (0.0 < self.lam <= self.Lam < math.inf):
+            raise ValueError("need 0 < lam <= Lam < inf")
         for name in ("a", "b", "r"):
             fn = getattr(self, name)
             if not callable(fn):
@@ -361,33 +367,31 @@ class Solution:
 
 def _implicit_solver(field: CoefficientField, grid: GridSpec, t: float,
                      dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """solve(rhs) for (I - dt*D), D the x-operator at time t: the Thomas
-    factorization is done once here, batched over the y columns.
+    """solve(rhs) for (I - dt*D), D the x-operator at time t.  Laid out
+    x-fastest, the y columns form one tridiagonal system of nx*ny unknowns,
+    block diagonal as lower[0] = upper[-1] = 0: LAPACK dgttrf factors it
+    once here and each solve is one dgttrs call.
 
     Raises ValueError when D has a negative off-diagonal: I - dt*D is then
     no M-matrix and the step can turn nonnegative data negative."""
-    lower, diag, upper = _x_bands(field, grid, t)
+    # a local import keeps scipy.linalg out of `import asianpde.cli`
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        lower, diag, upper = _x_bands(field, grid, t)
     if (lower < 0.0).any() or (upper < 0.0).any():
         raise ValueError(
             f"drift dominates diffusion on the x grid at t={float(t)!r}: the "
             f"cell Peclet condition a >= |b|*dx/2 fails with "
             f"dx={float(grid.dx)!r}; refine nx")
-    lower, dd, upper = -dt * lower, 1.0 - dt * diag, -dt * upper
-    nx = grid.nx
-    w = np.zeros_like(dd)
-    for i in range(1, nx):
-        w[i] = lower[i] / dd[i - 1]
-        dd[i] -= w[i] * upper[i - 1]
+    dl, d, du, du2, ipiv, info = dgttrf((-dt * lower).T.ravel()[1:],
+                                        (1.0 - dt * diag).T.ravel(),
+                                        (-dt * upper).T.ravel()[:-1])
+    if info != 0:
+        raise SolveError(f"implicit step at t={float(t)!r} is singular")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        d = rhs.copy()
-        for i in range(1, nx):
-            d[i] -= w[i] * d[i - 1]
-        out = np.empty_like(d)
-        out[-1] = d[-1] / dd[-1]
-        for i in range(nx - 2, -1, -1):
-            out[i] = (d[i] - upper[i] * out[i + 1]) / dd[i]
-        return out
+        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.T.ravel())
+        return x.reshape(grid.ny, grid.nx).T.copy()
 
     return solve
 
@@ -412,6 +416,10 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         )
     dt = grid.dt
     nu = grid.physical_x(grid.xs) * dt / grid.dy
+    nupos = np.maximum(nu, 0.0)[:, None]
+    nuneg = np.maximum(-nu, 0.0)[:, None]
+    # index of each cell's upper and lower y neighbour; an edge cell is its own
+    up, dn = np.r_[1:grid.ny, grid.ny - 1], np.r_[0, :grid.ny - 1]
     ts = grid.ts
     area = grid.cell_area
 
@@ -423,22 +431,14 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     for n in range(grid.nt):
         # transport substep (explicit upwind, copy-out at y edges)
         before = u.sum() * area
-        shift_up = np.empty_like(u)
-        shift_up[:, :-1] = u[:, 1:]
-        shift_up[:, -1] = u[:, -1]
-        shift_dn = np.empty_like(u)
-        shift_dn[:, 1:] = u[:, :-1]
-        shift_dn[:, 0] = u[:, 0]
-        nupos = np.maximum(nu, 0.0)[:, None]
-        nuneg = np.maximum(-nu, 0.0)[:, None]
-        u = u + nupos * (shift_up - u) + nuneg * (shift_dn - u)
+        u = u + nupos * (u[:, up] - u) + nuneg * (u[:, dn] - u)
         leakage.append(float(u.sum() * area - before))
         # diffusion substep (implicit)
         if solve is None or not field.time_independent:
             solve = _implicit_solver(field, grid, ts[n + 1], dt)
         u = solve(u)
         if not np.all(np.isfinite(u)):
-            raise RuntimeError(f"solver produced non-finite values at step {n}")
+            raise SolveError(f"solver produced non-finite values at step {n}")
         mass.append(float(u.sum() * area))
         if store == "all":
             frames.append(u.copy())

@@ -263,9 +263,19 @@ def test_python_m_runs_cli(module, capsys):
     # the price family needs a positive pole price
     (["fd-solve", "--kind", "l", "--pole", "0,0,0", "--out", "l.grid"],
      "pole needs x > 0"),
+    # each range is exactly two floats
+    (["fd-solve", "--trange", "0", "--out", "k.grid"], "--trange"),
+    (["fd-solve", "--yrange", "1", "--out", "k.grid"], "--yrange"),
+    (["fd-solve", "--trange", "0,0.5,3", "--out", "k.grid"], "--trange"),
+    # diffusion must be finite, and one that swamps the identity in
+    # I - dt*D leaves no usable factorization
+    (["fd-solve", "--lambda", "inf", "--out", "k.grid"], "lam"),
+    (["fd-solve", "--lambda", "1e308", "--out", "k.grid"], "singular"),
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
         "price-missed-tol", "price-arithmetic-rate",
-        "fd-solve-l-default-pole"])
+        "fd-solve-l-default-pole", "fd-solve-short-trange",
+        "fd-solve-short-yrange", "fd-solve-long-trange",
+        "fd-solve-infinite-lambda", "fd-solve-huge-lambda"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "asianpde", *argv],
                           capture_output=True, text=True, env=_child_env(),
@@ -283,7 +293,7 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
         [sys.executable, "-c",
          "import sys, asianpde.cli; print(sorted(m for m in sys.modules if m "
          "in ('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
-         "'asianpde.acceptance')))"],
+         "'scipy.linalg', 'asianpde.acceptance')))"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

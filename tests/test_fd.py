@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from asianpde import fd
 from asianpde._quadrature import panel_nodes, uniform_edges
 from asianpde.fd import (BoundViolationError, CflError, CoefficientField,
                          GridMismatchError, GridSpec, MollifierMode,
@@ -237,6 +238,28 @@ def test_implicit_step_matches_apply_operator():
     lhs = ((u1 - u0) / grid.dt)[1:-1, 1:-1]
     rhs = apply_operator(field, u1, grid, grid.ts[1])[1:-1, 1:-1]
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+def test_implicit_solve_keeps_columns_apart():
+    # a, b and r vary in y, so each y column has bands of its own: a solve
+    # that flattened the columns in the wrong order would pair one column's
+    # bands with another column's data
+    grid = GridSpec(x_range=(-2.0, 2.0), y_range=(-1.0, 1.0),
+                    t_range=(0.0, 0.1), nx=23, ny=7, nt=1)
+    field = CoefficientField(a=lambda x, y, t: 1.0 + 0.5 * np.sin(x + 2 * y),
+                             b=lambda x, y, t: 0.6 * np.cos(x) * y,
+                             r=lambda x, y, t: 0.3 + 0.2 * y + 0.05 * x**2,
+                             lam=0.5, Lam=1.5)
+    t, dt = 0.05, 0.02
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    rhs = np.exp(-X**2) * (1.0 + Y + Y**2)
+    u = fd._implicit_solver(field, grid, t, dt)(rhs)
+    lower, diag, upper = fd._x_bands(field, grid, t)
+    for j in range(grid.ny):
+        D = (np.diag(diag[:, j]) + np.diag(lower[1:, j], -1)
+             + np.diag(upper[:-1, j], 1))
+        ref = np.linalg.solve(np.eye(grid.nx) - dt * D, rhs[:, j])
+        assert np.max(np.abs(u[:, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_time_dependent_coefficients_rebuild_each_step():
