@@ -139,8 +139,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if min(self.nx, self.ny) < 3 or self.nt < 1:
             raise ValueError("grid too small")
-        if self.t_range[1] <= self.t_range[0]:
-            raise ValueError("empty time range")
+        for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range),
+                               ("time", self.t_range)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"{name} range must be finite and "
+                                 f"increasing, got {lo},{hi}")
         speed = np.max(np.abs(self.physical_x(self.xs)))
         object.__setattr__(self, "cfl_ratio",
                            float(speed * self.dt / self.dy))

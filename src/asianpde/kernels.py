@@ -2,8 +2,16 @@
 
 The log-price family has a Gaussian closed form.  The price family reduces
 to the joint density of a Brownian motion and its integrated geometric
-exponential, which carries the slowly decaying oscillatory integral handled
-here by half-period-aligned panel quadrature with dual-rule error control.
+exponential, which carries the slowly decaying oscillatory integral theta.
+theta is computed in the scaled form g(z) = e^z * theta(z, t), whose
+integrand carries exp(-z*(cosh(xi) - 1)), by half-period-aligned panel
+quadrature with dual-rule error control (:func:`theta_batch`).
+
+g is analytic and slowly varying in u = log z, so a density batch with many
+points evaluates it at the nodes of a table in u instead: panels of width 1
+with 25 Chebyshev-Lobatto nodes each, read back by barycentric
+interpolation of degree 24 (:func:`yor_density_batch`).  The table is used
+only when it needs fewer than half the theta evaluations of the points.
 """
 from __future__ import annotations
 
@@ -41,6 +49,9 @@ THETA_MAX_PANELS = 4096
 # Gauss-Legendre order per half-period panel of the lower theta rule; the
 # upper rule doubles it and their disagreement is the rule error
 _THETA_ORDER = 24
+# degree of the Chebyshev interpolant on each unit panel in log z of the
+# theta table; every other node gives the degree-_TABLE_DEGREE/2 comparison
+_TABLE_DEGREE = 24
 _EPS = np.finfo(float).eps
 
 
@@ -157,10 +168,7 @@ def _theta_edges(z: float, t: float, tol: float) -> np.ndarray:
             f"t={t} below the reliable range (t >= {THETA_MIN_TIME}); "
             "the oscillatory integral loses all double-precision digits"
         )
-    # truncating an alternating tail leaves a remainder of the order of the
-    # envelope at the cutoff, so cut far deeper than the requested tol
-    floor = min(tol * 1e-3, 1e-18)
-    cutoff = _theta_cutoff(z, t, floor)
+    cutoff = _theta_cutoff(z, t, _truncation_floor(tol))
     # panels aligned to the half-periods of sin(pi*xi/t), each of width t
     n_half = int(math.ceil(cutoff / t))
     if n_half > THETA_MAX_PANELS:
@@ -170,6 +178,12 @@ def _theta_edges(z: float, t: float, tol: float) -> np.ndarray:
     return np.linspace(0.0, n_half * t, n_half + 1)
 
 
+def _truncation_floor(tol: float) -> float:
+    # truncating an alternating tail leaves a remainder of the order of the
+    # envelope at the cutoff, so cut far deeper than the requested tol
+    return min(tol * 1e-3, 1e-18)
+
+
 def _check_t_tol(t: float, tol: float) -> None:
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -177,34 +191,45 @@ def _check_t_tol(t: float, tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol}")
 
 
-def theta(z_arg: float, t: float, tol: float = 1e-10) -> KernelResult:
-    """Oscillatory transform at one z: wraps :func:`theta_batch`.
+def _drop_below_estimate(vals: np.ndarray, errs: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    # the exact values are positive: a value below its own estimate (negative
+    # quadrature dust included) is reported as 0, its magnitude added to
+    # the estimate
+    drop = vals < errs
+    return (np.where(drop, 0.0, vals),
+            np.where(drop, errs + np.abs(vals), errs))
 
-    The exact transform is positive, so negative quadrature dust is clamped
-    to 0 and its magnitude added to the error estimate.
+
+def theta(z_arg: float, t: float, tol: float = 1e-10) -> KernelResult:
+    """Oscillatory transform at one z: e^-z times :func:`theta_batch`.
+
+    The estimate adds the truncation floor min(tol*1e-3, 1e-18) * t to the
+    scaled rule's estimate; a value below its estimate is reported as 0.
     """
-    vals, errs = theta_batch(np.array([z_arg], dtype=float), t, tol)
-    value, err = float(vals[0]), float(errs[0])
-    if value < 0.0:
-        err -= value
-        value = 0.0
-    return KernelResult(value=value, abs_error_estimate=err,
+    g, g_err = theta_batch(np.array([z_arg], dtype=float), t, tol)
+    scale = math.exp(-z_arg)
+    value, err = _drop_below_estimate(
+        scale * g, scale * g_err + _truncation_floor(tol) * t)
+    return KernelResult(value=float(value[0]), abs_error_estimate=float(err[0]),
                         tolerance_used=tol)
 
 
 def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oscillatory transform over an array of z at one shared t: the
-    integral over (0, inf) of
-    exp(-xi^2/(2t)) * exp(-z*cosh(xi)) * sinh(xi) * sin(pi*xi/t) dxi.
+    """Scaled oscillatory transform g(z) = e^z * theta(z, t) over an array
+    of z at one shared t: the integral over (0, inf) of
+    exp(-xi^2/(2t)) * exp(-z*(cosh(xi) - 1)) * sinh(xi) * sin(pi*xi/t) dxi,
+    with cosh(xi) - 1 written 2*sinh(xi/2)^2.
 
     One set of half-period panels is built from the smallest z (widest
-    cutoff) and reused for every z.  The per-z error estimate is the
-    disagreement of two Gauss rules (orders 24 and 48 per panel) plus an
-    explicit roundoff floor eps * integral(|integrand|) and the truncation
-    bound.  Values below that floor are returned as 0.  The z are taken in
-    chunks of at most 1e6 z-by-node matrix elements, which bounds the
-    working memory of a call.
+    cutoff of the unscaled envelope) and reused for every z.  The per-z
+    estimate of g is the disagreement of two Gauss rules (orders 24 and 48
+    per panel) plus the roundoff floor eps * integral(|integrand|) * panels.
+    The truncation floor belongs to theta itself, min(tol*1e-3, 1e-18) * t,
+    and is left to the callers, as is reporting values below their
+    estimate as 0.  The z are taken in chunks of at most 1e6 z-by-node
+    matrix elements, which bounds the working memory of a call.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
@@ -222,6 +247,7 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
             pref = (np.exp(-(xs**2) / (2.0 * t)) * np.sinh(xs)
                     * np.sin(math.pi * xs / t)) * ws
             absref = np.abs(pref)
+            cosh_m1 = 2.0 * np.sinh(0.5 * xs) ** 2
             vals = np.empty(z.shape)
             scales = np.empty(z.shape)
             flat = z.ravel()
@@ -230,19 +256,92 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
             chunk = max(1, int(1e6 // max(xs.size, 1)))
             for i in range(0, flat.size, chunk):
                 zz = flat[i:i + chunk, None]
-                damp = np.exp(-zz * np.cosh(xs)[None, :])
+                damp = np.exp(-zz * cosh_m1[None, :])
                 out[i:i + chunk] = damp @ pref
                 sc[i:i + chunk] = damp @ absref
         return vals, scales
 
     va, sa = accumulate(xs_a, ws_a)
     vb, _ = accumulate(xs_b, ws_b)
-    floor = _EPS * sa * max(1, len(edges) - 1) + min(tol * 1e-3, 1e-18) * t
-    err = np.abs(va - vb) + floor
-    # below the roundoff floor the computed value is noise around an
-    # exactly positive but unresolvable quantity: report 0 with the floor
-    vb = np.where(np.abs(vb) < floor, 0.0, vb)
-    return vb, err
+    return vb, np.abs(va - vb) + _EPS * sa * max(1, len(edges) - 1)
+
+
+def _scaled_theta(z: np.ndarray, t: float, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """g and its estimate at z from one :func:`theta_batch` call: on z as
+    given, or on the nodes of a table in log z when that table has fewer
+    than half as many nodes as there are z."""
+    if z.size > 2 * (_TABLE_DEGREE + 1) and (zmin := np.min(z)) > 0.0:
+        lo = float(np.log(zmin))
+        n_panels = max(1, math.ceil(float(np.log(np.max(z))) - lo))
+        if z.size > 2 * (_TABLE_DEGREE * n_panels + 1):
+            return _theta_table(z, lo, n_panels, t, tol)
+    return theta_batch(z, t, tol)  # which also refuses z <= 0
+
+
+def _theta_table(z: np.ndarray, lo: float, n_panels: int, t: float,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """g and its estimate at z from :func:`theta_batch` on the nodes of a
+    table: n_panels unit panels in u = log z from lo, each carrying the
+    Chebyshev-Lobatto nodes of degree _TABLE_DEGREE, neighbours sharing
+    their end node.
+
+    The value is the barycentric interpolant of degree _TABLE_DEGREE on the
+    point's panel.  Its estimate is the distance to the interpolant of half
+    the degree on every other node, plus the largest node estimate on the
+    panel times the Lebesgue bound 2/pi * log(nodes) + 1 of the nodes.
+    """
+    deg = _TABLE_DEGREE
+    # nodes on [0, 1] and the barycentric weights (-1)^m, halved at the ends
+    s = 0.5 - 0.5 * np.cos(math.pi * np.arange(deg + 1) / deg)
+    wts = (-1.0) ** np.arange(deg + 1)
+    wts[[0, -1]] *= 0.5
+    wts_half = (-1.0) ** np.arange(deg // 2 + 1)
+    wts_half[[0, -1]] *= 0.5
+    nodes = lo + np.append(np.arange(n_panels)[:, None] + s[:-1], n_panels)
+    g_nodes, e_nodes = theta_batch(np.exp(nodes), t, tol)
+    # panel k holds nodes deg*k ... deg*k + deg
+    panel_g = np.lib.stride_tricks.sliding_window_view(g_nodes, deg + 1)[::deg]
+    panel_e = np.lib.stride_tricks.sliding_window_view(
+        e_nodes, deg + 1)[::deg].max(axis=1) * (
+            2.0 / math.pi * math.log(deg + 1) + 1.0)
+    # points sorted by panel, so that a block of them meets one panel's
+    # values.  Live z lie in (1e-324, 1e3) for t >= THETA_MIN_TIME, which
+    # theta_batch has enforced, so u spans under 800 panels and k fits 16
+    # bits, where numpy's stable sort is a radix sort
+    x = np.log(z)
+    x -= lo
+    k = np.minimum(x.astype(np.uint16), n_panels - 1)
+    x -= k
+    order = np.argsort(k, kind="stable")
+    counts = np.bincount(k, minlength=n_panels)
+    x = x[order]
+    vals = np.empty(z.size)
+    errs = np.empty(z.size)
+    block = 4096
+    recip = np.empty((deg + 1, min(block, z.size)))
+    start = 0
+    for g_k, e_k, count in zip(panel_g, panel_e, counts):
+        stop = start + count
+        for a in range(start, stop, block):
+            b = min(stop, a + block)
+            r = recip[:, :b - a]
+            np.subtract(x[a:b], s[:, None], out=r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(1.0, r, out=r)
+                full = (wts * g_k) @ r / (wts @ r)
+                half = ((wts_half * g_k[::2]) @ r[::2]
+                        / (wts_half @ r[::2]))
+            # a point on a node takes the node value in both interpolants
+            hit = np.flatnonzero(~np.isfinite(full + half))
+            if hit.size:
+                node = g_k[np.abs(x[a:b][hit, None] - s).argmin(axis=1)]
+                full[hit] = node
+                half[hit] = np.where(np.isfinite(half[hit]), half[hit], node)
+            vals[order[a:b]] = full
+            errs[order[a:b]] = np.abs(full - half) + e_k
+        start = stop
+    return vals, errs
 
 
 # ---------------------------------------------------------------------------
@@ -260,29 +359,37 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized density over matching arrays of (w, y) at one shared t.
 
-    p = prefactor(w, y, t) * theta(e^w / y, t).  theta is evaluated once per
-    distinct z = e^w / y among the points whose prefactor is nonzero; where
-    the prefactor underflows to 0 the value and estimate are exactly 0.
-    Negative quadrature dust is clamped to 0 and its magnitude added to the
-    error estimate."""
+    p = prefactor(w, y, t) * theta(z, t) with z = e^w / y, computed as
+    (prefactor * e^-z) * g(z) from the scaled transform g = e^z * theta.
+    Where the prefactor underflows to 0 the value and estimate are exactly
+    0.  g is evaluated at the other (live) points in one
+    :func:`theta_batch` call: on their z as given, or, when they number
+    more than twice the nodes of a table over their range of log z, on the
+    table's nodes (see :func:`_theta_table`); no z is deduplicated.  The
+    estimate is the scaled prefactor times the estimate of g, plus the
+    prefactor times theta's truncation floor min(tol*1e-3, 1e-18) * t.  A
+    value below its estimate (negative quadrature dust included) is
+    reported as 0, its magnitude added to the estimate."""
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("y values must be positive")
     _check_t_tol(t, tol)
+    log_pref = _yor_prefactor_log(w, y, t)
     with np.errstate(under="ignore", over="ignore"):
-        pref = np.exp(_yor_prefactor_log(w, y, t))
-    live = pref > 0.0
-    z = np.exp(w[live]) / y[live]
-    zs, back = np.unique(z, return_inverse=True)
-    vals, errs = theta_batch(zs, t, tol)
-    th = np.zeros(pref.shape)
-    th_err = np.zeros(pref.shape)
-    th[live] = vals[back]
-    th_err[live] = errs[back]
-    raw = pref * th
-    err = pref * th_err + np.where(raw < 0.0, -raw, 0.0)
-    return np.maximum(raw, 0.0), err
+        live = np.exp(log_pref) > 0.0
+        log_pref = log_pref[live]
+        errs = np.exp(log_pref) * (_truncation_floor(tol) * t)
+        z = np.exp(w[live]) / y[live]
+        log_pref -= z
+        scaled = np.exp(log_pref, out=log_pref)
+    g, g_err = _scaled_theta(z, t, tol)
+    vals, errs = _drop_below_estimate(scaled * g, errs + scaled * g_err)
+    out = np.zeros(live.shape)
+    out_err = np.zeros(live.shape)
+    out[live] = vals
+    out_err[live] = errs
+    return out, out_err
 
 
 def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:

@@ -271,11 +271,17 @@ def test_python_m_runs_cli(module, capsys):
     # I - dt*D leaves no usable factorization
     (["fd-solve", "--lambda", "inf", "--out", "k.grid"], "lam"),
     (["fd-solve", "--lambda", "1e308", "--out", "k.grid"], "singular"),
+    # each range must be finite and increasing
+    (["fd-solve", "--yrange", "1,1", "--out", "k.grid"], "y range"),
+    (["fd-solve", "--xrange", "1,-1", "--out", "k.grid"], "x range"),
+    (["fd-solve", "--xrange", "nan,1", "--out", "k.grid"], "x range"),
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
         "price-missed-tol", "price-arithmetic-rate",
         "fd-solve-l-default-pole", "fd-solve-short-trange",
         "fd-solve-short-yrange", "fd-solve-long-trange",
-        "fd-solve-infinite-lambda", "fd-solve-huge-lambda"])
+        "fd-solve-infinite-lambda", "fd-solve-huge-lambda",
+        "fd-solve-empty-yrange", "fd-solve-reversed-xrange",
+        "fd-solve-nan-xrange"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "asianpde", *argv],
                           capture_output=True, text=True, env=_child_env(),

@@ -174,7 +174,8 @@ def test_theta_batch_reference_values():
     for t in sorted({t for _, t in THETA_REF}):
         zs = np.array([z for z, tt in THETA_REF if tt == t])
         vals, errs = theta_batch(zs, t, tol=1e-10)
-        for z, v, e in zip(zs, vals, errs):
+        # theta_batch returns g = e^z * theta and its estimate
+        for z, v, e in zip(zs, vals * np.exp(-zs), errs * np.exp(-zs)):
             assert abs(v - THETA_REF[(z, t)]) <= e
 
 
@@ -238,7 +239,14 @@ def _repeated_grid():
     return np.tile(W.ravel(), 2), np.tile(Y.ravel(), 2)
 
 
-def test_yor_density_evaluates_theta_once_per_live_z(monkeypatch):
+def _table_grid():
+    # a tensor grid whose live points outnumber twice the table's nodes
+    W, Y = np.meshgrid(np.linspace(-3.0, 3.0, 41),
+                       np.geomspace(0.01, 30.0, 41))
+    return W.ravel(), Y.ravel()
+
+
+def _record_theta_batch(monkeypatch):
     seen = []
 
     def recording(z, t, tol=1e-10):
@@ -246,14 +254,42 @@ def test_yor_density_evaluates_theta_once_per_live_z(monkeypatch):
         return theta_batch(z, t, tol)
 
     monkeypatch.setattr(kernels, "theta_batch", recording)
-    w, y = _repeated_grid()
-    t = 1.0
+    return seen
+
+
+def test_yor_density_calls_theta_once_on_table_nodes_or_live_z(monkeypatch):
+    seen = _record_theta_batch(monkeypatch)
+    w, y, t = *_table_grid(), 0.5
     yor_density_batch(w, y, t, 1e-10)
-    live = np.exp(kernels._yor_prefactor_log(w, y, t)) > 0.0
-    assert 0 < live.sum() < w.size
+    z = (np.exp(w) / y)[np.exp(kernels._yor_prefactor_log(w, y, t)) > 0.0]
+    panels = math.ceil(math.log(z.max() / z.min()))
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], np.unique((np.exp(w) / y)[live]))
-    assert seen[0].size <= live.sum() // 2
+    assert seen[0].size <= panels * 25 < z.size
+    # a small batch goes to theta_batch on its live z as given
+    seen.clear()
+    w3, y3 = np.array([0.2, 1.5, 0.3]), np.array([0.8, 1e-6, 5.0])
+    yor_density_batch(w3, y3, 1.0, 1e-10)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], np.exp(w3[[0, 2]]) / y3[[0, 2]])
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
+def test_yor_density_table_agrees_with_direct(t, monkeypatch):
+    seen = _record_theta_batch(monkeypatch)
+    w, y = _table_grid()
+    tab, tab_err = yor_density_batch(w, y, t, 1e-10)
+    assert seen[0].size < (tab_err > 0.0).sum() // 2
+    # batches of 20 points are evaluated directly
+    parts = [yor_density_batch(w[i:i + 20], y[i:i + 20], t, 1e-10)
+             for i in range(0, w.size, 20)]
+    direct = np.concatenate([v for v, _ in parts])
+    direct_err = np.concatenate([e for _, e in parts])
+    gap = np.abs(tab - direct)
+    assert np.all(gap <= tab_err + direct_err)
+    # the table's own term estimates the error of the half-degree
+    # interpolant; where it dominates, the full-degree value sits far inside
+    dominant = tab_err > 10.0 * direct_err
+    assert np.all(gap[dominant] <= 0.1 * tab_err[dominant])
 
 
 def test_yor_density_doubled_input_gives_each_half_bitwise():
@@ -313,8 +349,8 @@ def test_yor_density_batch_reference_values():
 
 
 def test_arithmetic_price_memory_peak():
-    # Yor time sigma^2 T / 4 = 0.5; theta's chunked z-by-node matrices and
-    # the full-size index arrays of the pricing grid set the peak
+    # Yor time sigma^2 T / 4 = 0.5; the full-size arrays of the pricing grid
+    # and of the density set the peak
     T = 2.0 / 1.21
     spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, T),
                        kind=Averaging.ARITHMETIC, strike=1.0, maturity=T,
