@@ -5,6 +5,10 @@ from functools import lru_cache
 
 import numpy as np
 
+# nodes in one row block of a tensor rule: the working memory of a block
+# stays under 1 MB
+BLOCK_NODES = 16_384
+
 
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

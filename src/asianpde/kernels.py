@@ -7,11 +7,9 @@ theta is computed in the scaled form g(z) = e^z * theta(z, t), whose
 integrand carries exp(-z*(cosh(xi) - 1)), by half-period-aligned panel
 quadrature with dual-rule error control (:func:`theta_batch`).
 
-g is analytic and slowly varying in u = log z, so a density batch with many
-points evaluates it at the nodes of a table in u instead: panels of width 1
-with 25 Chebyshev-Lobatto nodes each, read back by barycentric
-interpolation of degree 24 (:func:`yor_density_batch`).  The table is used
-only when it needs fewer than half the theta evaluations of the points.
+Integrals of the density run in s = log z and v = log u, where theta
+depends on s alone, so one theta call per rule covers every node
+(:func:`_yor_band_rule`).
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import panel_nodes
+from ._quadrature import BLOCK_NODES, panel_nodes, uniform_edges
 from .geometry import EventPoint
 
 __all__ = [
@@ -49,9 +47,6 @@ THETA_MAX_PANELS = 4096
 # Gauss-Legendre order per half-period panel of the lower theta rule; the
 # upper rule doubles it and their disagreement is the rule error
 _THETA_ORDER = 24
-# degree of the Chebyshev interpolant on each unit panel in log z of the
-# theta table; every other node gives the degree-_TABLE_DEGREE/2 comparison
-_TABLE_DEGREE = 24
 _EPS = np.finfo(float).eps
 
 
@@ -266,91 +261,17 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
     return vb, np.abs(va - vb) + _EPS * sa * max(1, len(edges) - 1)
 
 
-def _scaled_theta(z: np.ndarray, t: float, tol: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """g and its estimate at z from one :func:`theta_batch` call: on z as
-    given, or on the nodes of a table in log z when that table has fewer
-    than half as many nodes as there are z."""
-    if z.size > 2 * (_TABLE_DEGREE + 1) and (zmin := np.min(z)) > 0.0:
-        lo = float(np.log(zmin))
-        n_panels = max(1, math.ceil(float(np.log(np.max(z))) - lo))
-        if z.size > 2 * (_TABLE_DEGREE * n_panels + 1):
-            return _theta_table(z, lo, n_panels, t, tol)
-    return theta_batch(z, t, tol)  # which also refuses z <= 0
-
-
-def _theta_table(z: np.ndarray, lo: float, n_panels: int, t: float,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """g and its estimate at z from :func:`theta_batch` on the nodes of a
-    table: n_panels unit panels in u = log z from lo, each carrying the
-    Chebyshev-Lobatto nodes of degree _TABLE_DEGREE, neighbours sharing
-    their end node.
-
-    The value is the barycentric interpolant of degree _TABLE_DEGREE on the
-    point's panel.  Its estimate is the distance to the interpolant of half
-    the degree on every other node, plus the largest node estimate on the
-    panel times the Lebesgue bound 2/pi * log(nodes) + 1 of the nodes.
-    """
-    deg = _TABLE_DEGREE
-    # nodes on [0, 1] and the barycentric weights (-1)^m, halved at the ends
-    s = 0.5 - 0.5 * np.cos(math.pi * np.arange(deg + 1) / deg)
-    wts = (-1.0) ** np.arange(deg + 1)
-    wts[[0, -1]] *= 0.5
-    wts_half = (-1.0) ** np.arange(deg // 2 + 1)
-    wts_half[[0, -1]] *= 0.5
-    nodes = lo + np.append(np.arange(n_panels)[:, None] + s[:-1], n_panels)
-    g_nodes, e_nodes = theta_batch(np.exp(nodes), t, tol)
-    # panel k holds nodes deg*k ... deg*k + deg
-    panel_g = np.lib.stride_tricks.sliding_window_view(g_nodes, deg + 1)[::deg]
-    panel_e = np.lib.stride_tricks.sliding_window_view(
-        e_nodes, deg + 1)[::deg].max(axis=1) * (
-            2.0 / math.pi * math.log(deg + 1) + 1.0)
-    # points sorted by panel, so that a block of them meets one panel's
-    # values.  Live z lie in (1e-324, 1e3) for t >= THETA_MIN_TIME, which
-    # theta_batch has enforced, so u spans under 800 panels and k fits 16
-    # bits, where numpy's stable sort is a radix sort
-    x = np.log(z)
-    x -= lo
-    k = np.minimum(x.astype(np.uint16), n_panels - 1)
-    x -= k
-    order = np.argsort(k, kind="stable")
-    counts = np.bincount(k, minlength=n_panels)
-    x = x[order]
-    vals = np.empty(z.size)
-    errs = np.empty(z.size)
-    block = 4096
-    recip = np.empty((deg + 1, min(block, z.size)))
-    start = 0
-    for g_k, e_k, count in zip(panel_g, panel_e, counts):
-        stop = start + count
-        for a in range(start, stop, block):
-            b = min(stop, a + block)
-            r = recip[:, :b - a]
-            np.subtract(x[a:b], s[:, None], out=r)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(1.0, r, out=r)
-                full = (wts * g_k) @ r / (wts @ r)
-                half = ((wts_half * g_k[::2]) @ r[::2]
-                        / (wts_half @ r[::2]))
-            # a point on a node takes the node value in both interpolants
-            hit = np.flatnonzero(~np.isfinite(full + half))
-            if hit.size:
-                node = g_k[np.abs(x[a:b][hit, None] - s).argmin(axis=1)]
-                full[hit] = node
-                half[hit] = np.where(np.isfinite(half[hit]), half[hit], node)
-            vals[order[a:b]] = full
-            errs[order[a:b]] = np.abs(full - half) + e_k
-        start = stop
-    return vals, errs
-
-
 # ---------------------------------------------------------------------------
 # Joint density of (log coordinate, integrated exponential)
 # ---------------------------------------------------------------------------
 
-def _yor_prefactor_log(w, y, t):
+def _yor_log_c0(t: float) -> float:
     return (math.pi**2 / (2.0 * t)
-            - math.log(math.pi) - 0.5 * math.log(2.0 * math.pi * t)
+            - math.log(math.pi) - 0.5 * math.log(2.0 * math.pi * t))
+
+
+def _yor_prefactor_log(w, y, t):
+    return (_yor_log_c0(t)
             - (1.0 + np.exp(2.0 * np.minimum(w, 350.0))) / (2.0 * y)
             + w - 2.0 * np.log(y))
 
@@ -359,17 +280,16 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized density over matching arrays of (w, y) at one shared t.
 
-    p = prefactor(w, y, t) * theta(z, t) with z = e^w / y, computed as
-    (prefactor * e^-z) * g(z) from the scaled transform g = e^z * theta.
-    Where the prefactor underflows to 0 the value and estimate are exactly
-    0.  g is evaluated at the other (live) points in one
-    :func:`theta_batch` call: on their z as given, or, when they number
-    more than twice the nodes of a table over their range of log z, on the
-    table's nodes (see :func:`_theta_table`); no z is deduplicated.  The
-    estimate is the scaled prefactor times the estimate of g, plus the
-    prefactor times theta's truncation floor min(tol*1e-3, 1e-18) * t.  A
-    value below its estimate (negative quadrature dust included) is
-    reported as 0, its magnitude added to the estimate."""
+    p = prefactor(w, y, t) * theta(z, t) with log z = w - log y, computed
+    as (prefactor * e^-z) * g(z) from the scaled transform g = e^z * theta.
+    Where the prefactor underflows to 0, or z does (theta(0+, t) = 0), the
+    value and estimate are exactly 0.  g comes from one :func:`theta_batch`
+    call on the z of the other (live) points, as given; no z is
+    deduplicated.  The estimate is the scaled prefactor times the estimate
+    of g, plus the prefactor times theta's truncation floor
+    min(tol*1e-3, 1e-18) * t.  A value below its estimate (negative
+    quadrature dust included) is reported as 0, its magnitude added to the
+    estimate."""
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
@@ -377,13 +297,14 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
     _check_t_tol(t, tol)
     log_pref = _yor_prefactor_log(w, y, t)
     with np.errstate(under="ignore", over="ignore"):
-        live = np.exp(log_pref) > 0.0
+        z = np.exp(w - np.log(y))
+        live = (np.exp(log_pref) > 0.0) & (z > 0.0)
+        z = z[live]
         log_pref = log_pref[live]
         errs = np.exp(log_pref) * (_truncation_floor(tol) * t)
-        z = np.exp(w[live]) / y[live]
         log_pref -= z
         scaled = np.exp(log_pref, out=log_pref)
-    g, g_err = _scaled_theta(z, t, tol)
+    g, g_err = theta_batch(z, t, tol)
     vals, errs = _drop_below_estimate(scaled * g, errs + scaled * g_err)
     out = np.zeros(live.shape)
     out_err = np.zeros(live.shape)
@@ -392,27 +313,74 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
     return out, out_err
 
 
+def _yor_band_rule(t: float, w_half: float, v_edges: np.ndarray, order: int,
+                   width: float, tol: float, f) -> tuple[float, float]:
+    """One Gauss rule for the integral of p(w, u, t) * f(e^2w, u) over
+    |w| <= w_half and log u in [v_edges[0], v_edges[-1]]: the value and its
+    density-level estimate.  f takes a block of e^2w and the row of u.
+
+    The rule runs in s = w - log u = log z and v = log u, where dw du =
+    ds dv and p du dw = exp(c0(t) + s - e^-v/2 - e^2s e^v/2) e^-z g(z) ds dv.
+    theta enters through s alone, so one :func:`theta_batch` call on the
+    outer nodes, at their exact z, serves every node.  The s panels of
+    `width` cover [-w_half - v_hi, min(w_half - v_lo, 7)]: above s = 7,
+    e^-z underflows.  The v panels are `v_edges`, so a kink edge among
+    them is shared by every row.  The estimate and the dropping of values
+    below it are :func:`yor_density_batch`'s; both are the prefactor times
+    a factor of s, so they are decided once per row.  Rows go in blocks of
+    at most BLOCK_NODES nodes; a block keeps only the v columns that meet
+    the band |s + v| <= w_half, and masks its nodes outside the band.
+    """
+    vn, vw = panel_nodes(v_edges, order)
+    sn, sw = panel_nodes(uniform_edges(
+        -w_half - v_edges[-1], min(w_half - v_edges[0], 7.0), width), order)
+    z = np.exp(sn)
+    g, g_err = theta_batch(z, t, tol)
+    with np.errstate(under="ignore"):
+        damp = np.exp(-z)
+    row_val, row_err = _drop_below_estimate(
+        damp * g, damp * g_err + _truncation_floor(tol) * t)
+    row_val *= sw
+    row_err *= sw
+    row_log = _yor_log_c0(t) + sn
+    e2s = z * z
+    u = np.exp(vn)
+    col_log = -0.5 / u
+    rows = max(1, BLOCK_NODES // vn.size)
+    value = estimate = 0.0
+    for a in range(0, sn.size, rows):
+        r = slice(a, a + rows)
+        # the columns that meet the band for some row of the block
+        c = slice(np.searchsorted(vn, -w_half - sn[r][-1]),
+                  np.searchsorted(vn, w_half - sn[r][0], side="right"))
+        if c.start >= c.stop:
+            continue
+        expo = np.multiply.outer(e2s[r], -0.5 * u[c])
+        expo += row_log[r, None]
+        expo += col_log[c]
+        expo[np.abs(np.add.outer(sn[r], vn[c])) > w_half] = -np.inf
+        with np.errstate(under="ignore"):
+            dens = np.exp(expo, out=expo)
+        dens *= f(np.multiply.outer(e2s[r], u[c] ** 2), u[c])
+        value += row_val[r] @ (dens @ vw[c])
+        estimate += row_err[r] @ (np.abs(dens, out=dens) @ vw[c])
+    return float(value), float(estimate)
+
+
 def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
     """Double integral of p(., ., t) over R x (0, inf) by panelled quadrature.
 
-    Substitutes y = e^v to resolve both the essential singularity at y -> 0+
-    and the heavy right tail.  Should be 1 for every t (p is a probability
-    density); returned as a KernelResult so callers can see the estimate.
+    The rule is :func:`_yor_band_rule` with f = 1, whose v = log u resolves
+    both the essential singularity at u -> 0+ and the heavy right tail.
+    Should be 1 for every t (p is a probability density); returned as a
+    KernelResult so callers can see the estimate.
     """
     w_half = 8.0 * math.sqrt(t) + 3.0
     v_lo, v_hi = -9.0, 13.0 * math.sqrt(t) + 3.0
 
     def compute(order: int, width: float) -> tuple[float, float]:
-        we = np.arange(-w_half, w_half + width, width)
-        ve = np.arange(v_lo, v_hi + width, width)
-        wn, wwt = panel_nodes(we, order)
-        vn, vwt = panel_nodes(ve, order)
-        W = np.repeat(wn, vn.size)
-        V = np.tile(vn, wn.size)
-        Y = np.exp(V)
-        dens, err = yor_density_batch(W, Y, t, tol)
-        wt2 = np.repeat(wwt, vn.size) * np.tile(vwt, wn.size) * Y
-        return float(np.dot(wt2, dens)), float(np.dot(wt2, err))
+        return _yor_band_rule(t, w_half, uniform_edges(v_lo, v_hi, width),
+                              order, width, tol, lambda e2w, u: 1.0)
 
     coarse, _ = compute(8, 0.5)
     fine, qerr = compute(12, 0.34)

@@ -3,12 +3,15 @@
 A problem is a payoff spec, the only holder of sigma and r, and its payoff
 on the state plane of the spec's family; `price` integrates that family's
 fundamental solution against it, u = integral of Gamma * phi with lambda =
-sigma^2/2.  The quadrature runs in kernel-adapted coordinates (standardized
-Gaussian variables for the log-price family, one tensor rule over blocks of
-rows; density coordinates for the price family), with panel edges at payoff
-kinks and truncation radii chosen so the discarded envelope mass times the
-growth bound stays below the requested tolerance.  A price whose error
-estimate misses the tolerance is refused.
+sigma^2/2.  The quadrature runs in kernel-adapted coordinates, one tensor
+rule over blocks of rows each.  The log-price family uses standardized
+Gaussian variables.  The price family uses s = log z and v = log u of
+Yor's density: theta depends on s alone, so one call per rule evaluates it
+on the outer s nodes; the rows are cut to the band |s + v| <= w_half that
+truncates w, and s stops at 7, above which e^-z underflows.  Panel edges
+sit at payoff kinks and truncation radii are chosen so the discarded
+envelope mass times the growth bound stays below the requested tolerance.
+A price whose error estimate misses the tolerance is refused.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import panel_nodes
+from ._quadrature import BLOCK_NODES, panel_nodes
 from .geometry import EventPoint
-from .kernels import KernelParams, KernelResult, yor_density_batch
+from .kernels import KernelParams, KernelResult, _yor_band_rule
 from .mc import Averaging
 
 __all__ = [
@@ -186,9 +189,6 @@ def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
     )
 
 
-_BLOCK_NODES = 16_384      # nodes in one row block of the Gamma_K rule
-
-
 def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
                    lam: float, tol: float) -> tuple[float, float]:
     """Tensor Gauss rule on [-L, L]^2 in the standardized (xbar, ybar).
@@ -196,7 +196,7 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
     Each outer row takes the uniform panels plus one edge per kink line, a
     kink outside (-L, L) splitting the first panel, so all rows share one
     panel count; a block of rows is one sorted edge matrix, and blocks of
-    _BLOCK_NODES nodes keep the working memory under 1 MB a price."""
+    BLOCK_NODES nodes keep the working memory under 1 MB a price."""
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t
     # shift onto the drift-free model operator, discount at the end
@@ -225,7 +225,7 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
         edges = _edges_with_kinks(-L, L, width, ())
         xb, wx = panel_nodes(edges, order)
         wx = wx * np.exp(-xb * xb)
-        rows = max(1, _BLOCK_NODES // (order * (edges.size - 1 + kinks.size)))
+        rows = max(1, BLOCK_NODES // (order * (edges.size - 1 + kinks.size)))
         total = 0.0
         for lo in range(0, xb.size, rows):
             xi = x - sx * xb[lo:lo + rows, None]
@@ -246,6 +246,16 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
 
 def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
                    tol: float) -> tuple[float, float]:
+    """Yor's density at Yor time lam*dt/2 against the payoff, in
+    s = log z = w - v and v = log u (:func:`kernels._yor_band_rule`).
+
+    The pole is xi = x e^2w, eta = y + 2 x u / lam.  theta depends on s
+    alone, so each rule calls theta_batch once, on its outer s nodes.  The
+    s panels cover [-w_half - v_hi, min(w_half - v_lo, 7)], capped at 7
+    where e^-z underflows; the v panels carry the payoff kink v_k as one
+    edge shared by every row.  The rows go in blocks cut to the band
+    |s + v| <= w_half, the truncation in w.
+    """
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t
     if x <= 0.0:
@@ -260,19 +270,13 @@ def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
         if u_k > 0.0:
             v_kinks.append(math.log(u_k))
 
+    def payoff(e2w, u):
+        return phi(x * e2w, y + 2.0 * x * u / lam)
+
     def integrate(order: int, width: float) -> tuple[float, float]:
-        wn, ww = panel_nodes(
-            _edges_with_kinks(-w_half, w_half, width, ()), order)
-        vn, vw = panel_nodes(
-            _edges_with_kinks(v_lo, v_hi, width, v_kinks), order)
-        W = np.repeat(wn, vn.size)
-        U = np.tile(np.exp(vn), wn.size)
-        dens, derr = yor_density_batch(W, U, t_yor, tol)
-        payoff_vals = np.asarray(
-            phi(x * np.exp(2.0 * W), y + 2.0 * x * U / lam), float)
-        wts = np.repeat(ww, vn.size) * np.tile(vw * np.exp(vn), wn.size)
-        return (float(np.dot(wts, dens * payoff_vals)),
-                float(np.dot(np.abs(wts), derr * np.abs(payoff_vals))))
+        return _yor_band_rule(
+            t_yor, w_half, _edges_with_kinks(v_lo, v_hi, width, v_kinks),
+            order, width, tol, payoff)
 
     # the estimate's density term is the larger of the two rules' terms, so
     # a coarse term that alone misses tol is refused before the fine rule

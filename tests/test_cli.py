@@ -86,6 +86,29 @@ def test_price_command_csv(tmp_path, capsys):
     assert abs(float(out.strip()) - 0.0848477) < 1e-4
 
 
+# arithmetic calls at tol 1e-5, rate 0 and sigma^2 T = 2: price and the
+# estimate of the tensor rule in (w, log u), which tabulated theta in log z
+ARITHMETIC_PINS = [
+    # (sigma, spot, strike, price, estimate)
+    (1.1, 1.0, 1.05, 0.8641755492340777, 1.046920101285972e-06),
+    (1.45, 0.9, 1.1, 0.7024050963160405, 1.042218365025174e-06),
+    (1.3, 1.1, 0.02, 1.8701100111898747, 1.0516934274228884e-06),
+]
+
+
+@pytest.mark.parametrize("sigma,spot,strike,ref,ref_err", ARITHMETIC_PINS)
+def test_price_arithmetic_pinned_values(sigma, spot, strike, ref, ref_err,
+                                        capsys):
+    code, out, _ = run_cli(
+        ["price", "--kind", "arithmetic", "--sigma", repr(sigma),
+         "--rate", "0", "--spot", repr(spot), "--strike", repr(strike),
+         "--maturity", repr(2.0 / sigma**2), "--tol", "1e-5"], capsys)
+    assert code == EXIT_OK
+    _, value, err, _ = out.strip().splitlines()[-1].split(",")
+    assert abs(float(value) - ref) <= 1e-9
+    assert float(err) <= ref_err
+
+
 def test_price_idempotent_bodies(tmp_path, capsys):
     args = ["price", "--kind", "geometric", "--sigma", "0.4", "--method",
             "mc", "--paths", "20000", "--steps", "32", "--seed", "9"]
@@ -303,6 +326,14 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # and no quadrature rule is built at import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import asianpde.cli, asianpde._quadrature as q; "
+         "print(q.gauss_legendre.cache_info().currsize)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_pricing_import_leaves_fd_unloaded():

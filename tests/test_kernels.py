@@ -239,13 +239,6 @@ def _repeated_grid():
     return np.tile(W.ravel(), 2), np.tile(Y.ravel(), 2)
 
 
-def _table_grid():
-    # a tensor grid whose live points outnumber twice the table's nodes
-    W, Y = np.meshgrid(np.linspace(-3.0, 3.0, 41),
-                       np.geomspace(0.01, 30.0, 41))
-    return W.ravel(), Y.ravel()
-
-
 def _record_theta_batch(monkeypatch):
     seen = []
 
@@ -257,39 +250,29 @@ def _record_theta_batch(monkeypatch):
     return seen
 
 
-def test_yor_density_calls_theta_once_on_table_nodes_or_live_z(monkeypatch):
+def test_yor_density_calls_theta_once_on_live_z(monkeypatch):
     seen = _record_theta_batch(monkeypatch)
-    w, y, t = *_table_grid(), 0.5
-    yor_density_batch(w, y, t, 1e-10)
-    z = (np.exp(w) / y)[np.exp(kernels._yor_prefactor_log(w, y, t)) > 0.0]
-    panels = math.ceil(math.log(z.max() / z.min()))
+    # a batch with a dead point calls theta_batch on its live z, in order
+    w, y = np.array([0.2, 1.5, 0.3]), np.array([0.8, 1e-6, 5.0])
+    yor_density_batch(w, y, 1.0, 1e-10)
     assert len(seen) == 1
-    assert seen[0].size <= panels * 25 < z.size
-    # a small batch goes to theta_batch on its live z as given
+    np.testing.assert_array_equal(seen[0],
+                                  np.exp(w[[0, 2]] - np.log(y[[0, 2]])))
+    # a large batch too: every live z, repeated ones included
     seen.clear()
-    w3, y3 = np.array([0.2, 1.5, 0.3]), np.array([0.8, 1e-6, 5.0])
-    yor_density_batch(w3, y3, 1.0, 1e-10)
+    w, y = _repeated_grid()
+    yor_density_batch(w, y, 0.8, 1e-10)
+    live = np.exp(kernels._yor_prefactor_log(w, y, 0.8)) > 0.0
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], np.exp(w3[[0, 2]]) / y3[[0, 2]])
+    np.testing.assert_array_equal(seen[0], np.exp(w - np.log(y))[live])
 
 
-@pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
-def test_yor_density_table_agrees_with_direct(t, monkeypatch):
-    seen = _record_theta_batch(monkeypatch)
-    w, y = _table_grid()
-    tab, tab_err = yor_density_batch(w, y, t, 1e-10)
-    assert seen[0].size < (tab_err > 0.0).sum() // 2
-    # batches of 20 points are evaluated directly
-    parts = [yor_density_batch(w[i:i + 20], y[i:i + 20], t, 1e-10)
-             for i in range(0, w.size, 20)]
-    direct = np.concatenate([v for v, _ in parts])
-    direct_err = np.concatenate([e for _, e in parts])
-    gap = np.abs(tab - direct)
-    assert np.all(gap <= tab_err + direct_err)
-    # the table's own term estimates the error of the half-degree
-    # interpolant; where it dominates, the full-degree value sits far inside
-    dominant = tab_err > 10.0 * direct_err
-    assert np.all(gap[dominant] <= 0.1 * tab_err[dominant])
+def test_yor_density_where_z_underflows_is_exactly_zero():
+    # the prefactor is about e^-700, live, but z = e^-800 / 0.25 is 0.0
+    w, y = np.full(100, -800.0), np.full(100, 0.25)
+    assert np.all(np.exp(kernels._yor_prefactor_log(w, y, 0.05)) > 0.0)
+    vals, errs = yor_density_batch(w, y, 0.05)
+    assert np.all(vals == 0.0) and np.all(errs == 0.0)
 
 
 def test_yor_density_doubled_input_gives_each_half_bitwise():
@@ -348,15 +331,20 @@ def test_yor_density_batch_reference_values():
         assert abs(v - ref) <= e
 
 
-def test_arithmetic_price_memory_peak():
-    # Yor time sigma^2 T / 4 = 0.5; the full-size arrays of the pricing grid
-    # and of the density set the peak
+def _call_spec():
+    # sigma = 1.1 and Yor time sigma^2 T / 4 = 0.5
     T = 2.0 / 1.21
-    spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, T),
-                       kind=Averaging.ARITHMETIC, strike=1.0, maturity=T,
-                       sigma=1.1, growth=GrowthBound(M=2.0 + 2.0 / T,
-                                                     C=1.0 / T, alpha=1.0),
-                       kink_lines=(T,))
+    return T, PricingSpec(payoff=arithmetic_call_payoff(1.0, T),
+                          kind=Averaging.ARITHMETIC, strike=1.0, maturity=T,
+                          sigma=1.1, growth=GrowthBound(M=2.0 + 2.0 / T,
+                                                        C=1.0 / T, alpha=1.0),
+                          kink_lines=(T,))
+
+
+def test_arithmetic_price_memory_peak():
+    # theta_batch's z-by-node matrices on the fine rule's outer nodes set
+    # the peak; a row block of the rule holds at most BLOCK_NODES nodes
+    T, spec = _call_spec()
     tracemalloc.start()
     try:
         price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, T),
@@ -365,6 +353,18 @@ def test_arithmetic_price_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 80 * 2**20
+
+
+def test_arithmetic_price_calls_theta_once_per_rule(monkeypatch):
+    # theta depends on s = log z alone: each rule evaluates it once, at the
+    # exact z of its outer nodes, not at every node of the tensor rule
+    seen = _record_theta_batch(monkeypatch)
+    T, spec = _call_spec()
+    price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, T), tol=1e-5)
+    assert len(seen) == 2
+    for z in seen:
+        assert z.ndim == 1 and z.size <= 1100
+        assert np.all(np.diff(z) > 0.0)
 
 
 # -- price-family kernel -----------------------------------------------------

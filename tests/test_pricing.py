@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from asianpde import pricing
+from asianpde import kernels, pricing
 from asianpde.fd import CoefficientField, GridSpec, solve_cauchy
 from asianpde.geometry import EventPoint
-from asianpde.kernels import yor_density_batch
+from asianpde.kernels import theta_batch
 from asianpde.mc import Averaging, McConfig, ModelSpec, mc_price
 from asianpde.pricing import (CauchyProblem, GrowthBound,
                               GrowthViolationError, MaturityLimitError,
@@ -238,29 +238,29 @@ def test_price_alpha_two_maturity_refusal():
 
 
 @pytest.fixture
-def density_calls(monkeypatch):
-    """Counts the price family's calls into Yor's density, one per rule."""
+def theta_calls(monkeypatch):
+    """Counts the price family's calls into theta, one per rule."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return yor_density_batch(*args)
+        return theta_batch(*args)
 
-    monkeypatch.setattr(pricing, "yor_density_batch", counted)
+    monkeypatch.setattr(kernels, "theta_batch", counted)
     return calls
 
 
-def test_price_arithmetic_unit_payoff(density_calls):
+def test_price_arithmetic_unit_payoff(theta_calls):
     spec = PricingSpec(payoff=unit_payoff, kind=Averaging.ARITHMETIC,
                        strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
                        growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
     prob = make_arithmetic_problem(spec)
     res = price(prob, EventPoint(1.0, 0.0, 1.0), tol=1e-5)
     assert res.value == pytest.approx(1.0, abs=1e-4)
-    assert len(density_calls) == 2
+    assert len(theta_calls) == 2
 
 
-def test_price_family_refuses_after_the_coarse_rule(density_calls):
+def test_price_family_refuses_after_the_coarse_rule(theta_calls):
     # sigma = 1, T = 1 call: the coarse rule's density term alone exceeds
     # tol, so the fine rule never runs
     spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, 1.0),
@@ -270,7 +270,7 @@ def test_price_family_refuses_after_the_coarse_rule(density_calls):
     with pytest.raises(ToleranceNotMetError, match="above tol"):
         price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, 1.0),
               tol=1e-5)
-    assert len(density_calls) == 1
+    assert len(theta_calls) == 1
 
 
 def test_price_initial_datum_attainment():
