@@ -1,4 +1,4 @@
-"""Two-sided kernel envelopes and integral band checks.
+"""Two-sided kernel envelopes for the price-family kernel.
 
 The theory only asserts that sandwich constants exist.  The price-family
 envelope fixes its exponential rates as module constants; the
@@ -16,7 +16,6 @@ from .control import ControlEndpoints, psi
 from .geometry import EventPoint
 
 __all__ = [
-    "integral_band_check",
     "gamma_l_envelope",
     "fit_multiplicative_constants",
     "sandwich_violations",
@@ -25,17 +24,6 @@ __all__ = [
 # rates multiplying the control value inside the price-family exponentials
 _LOWER_RATE = 0.3
 _UPPER_RATE = 0.2
-
-
-def integral_band_check(kernel_integral: float, Lambda: float, dt: float,
-                        tol: float = 0.0) -> bool:
-    """True iff the pole-variable kernel mass lies in
-    [exp(-Lambda*dt) - tol, exp(Lambda*dt) + tol]."""
-    if Lambda <= 0.0 or dt <= 0.0:
-        raise ValueError("Lambda and dt must be positive")
-    return (math.exp(-Lambda * dt) - tol
-            <= kernel_integral
-            <= math.exp(Lambda * dt) + tol)
 
 
 def gamma_l_envelope(z: EventPoint, pole: EventPoint, epsilon: float

@@ -2,10 +2,8 @@
 and the acceptance criteria of :mod:`asianpde.acceptance`, with CSV/JSON
 artifacts.
 
-Config precedence is CLI flag > config file > default; a config key that
-conflicts with an explicit flag is reported to stderr, never silently
-resolved.  Re-running with the same config and seed reproduces CSV bodies
-byte for byte (the timestamp lives in a leading comment line).
+Re-running with the same flags and seed reproduces CSV bodies byte for byte
+(the timestamp lives in a leading comment line).
 
 Without installing, run it as ``python -m asianpde`` (with ``src`` on
 ``PYTHONPATH``); once installed, the ``asianpde`` console script calls
@@ -58,49 +56,6 @@ def _parse_point(text: str, key: str) -> EventPoint:
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _load_config(path: str) -> dict[str, str]:
-    cfg = {}
-    try:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise SystemExit(_usage_error(
-                        f"{path}:{line_no}: expected key=value, got {line!r}"
-                    ))
-                k, v = line.split("=", 1)
-                cfg[k.strip()] = v.strip()
-    except FileNotFoundError:
-        raise SystemExit(_usage_error(f"config file not found: {path}"))
-    return cfg
-
-
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Apply config-file values for keys the CLI left at their defaults."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    for key, raw in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise SystemExit(_usage_error(
-                f"unknown config key {key!r} in {args.config}"
-            ))
-        default = parser_defaults.get(attr)
-        current = getattr(args, attr)
-        if current != default:
-            if str(current) != raw:
-                print(f"config conflict: --{key} given as {current!r} on the "
-                      f"command line, {raw!r} in {args.config}; "
-                      "using the command line", file=sys.stderr)
-            continue
-        typ = type(default) if default is not None else str
-        setattr(args, attr, typ(raw) if typ is not bool
-                else raw.lower() in ("1", "true", "yes"))
 
 
 def _write_csv(path: str | None, header: Sequence[str],
@@ -275,15 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "acceptance criteria for averaged-payoff option models.",
         epilog="CSV artifacts start with one '# created <timestamp>' comment "
                "line; bodies are byte-identical across reruns with the same "
-               "config and seed. " + "; ".join(
+               "flags and seed. " + "; ".join(
                    f"{k}: {v}" for k, v in sorted(_CSV_HELP.items())),
     )
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--config", help="key=value config file; CLI flags "
-                                         "take precedence, conflicts are "
-                                         "reported")
         sp.add_argument("--output", default=None,
                         help="CSV artifact path (stdout when omitted)")
 
@@ -374,16 +326,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    defaults = {a.dest: a.default
-                for sp in parser._subparsers._group_actions
-                for a in sp.choices[args.command]._actions}
     try:
-        _merge_config(args, defaults)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._quadrature import gauss_legendre
 from .geometry import EventPoint, GeometryKind
 
 __all__ = [
@@ -220,7 +221,7 @@ def _bump_nodes(order: int = 12) -> tuple[np.ndarray, np.ndarray]:
     # then fits inside the ball of radius 1/2. Discrete weights renormalized
     # so the quadrature is an exact convex combination.
     s = 1.0 / (2.0 * math.sqrt(3.0))
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = gauss_legendre(order)
     nodes = s * xg
     vals = np.exp(-1.0 / np.maximum(1.0 - (nodes / s) ** 2, 1e-300))
     weights = wg * s * vals

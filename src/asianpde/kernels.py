@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import BLOCK_NODES, panel_nodes, uniform_edges
+from ._quadrature import (BLOCK_NODES, gauss_legendre, panel_nodes,
+                          uniform_edges)
 from .geometry import EventPoint
 
 __all__ = [
@@ -125,7 +126,7 @@ def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float) -> float:
         return 0.0
     sx = math.sqrt(2.0 * lam * dt)
     sy = math.sqrt(lam * dt**3 / 6.0)
-    xg, wgt = np.polynomial.legendre.leggauss(80)
+    xg, wgt = gauss_legendre(80)
     xi = z.x + 10.0 * sx * xg
     s = 10.0 * sy * xg
     fx = np.exp(-((z.x - xi) ** 2) / (4.0 * lam * dt))
@@ -373,7 +374,9 @@ def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
     The rule is :func:`_yor_band_rule` with f = 1, whose v = log u resolves
     both the essential singularity at u -> 0+ and the heavy right tail.
     Should be 1 for every t (p is a probability density); returned as a
-    KernelResult so callers can see the estimate.
+    KernelResult so callers can see the estimate.  Raises
+    ThetaConvergenceError when the estimate exceeds tol, as it does at
+    short times where the density's oscillatory factor loses its digits.
     """
     w_half = 8.0 * math.sqrt(t) + 3.0
     v_lo, v_hi = -9.0, 13.0 * math.sqrt(t) + 3.0
@@ -385,6 +388,9 @@ def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
     coarse, _ = compute(8, 0.5)
     fine, qerr = compute(12, 0.34)
     est = abs(fine - coarse) + qerr
+    if not est <= tol:
+        raise ThetaConvergenceError(
+            f"mass at t={t} has error estimate {est:.1e} above tol={tol:.1e}")
     return KernelResult(value=fine, abs_error_estimate=est,
                         tolerance_used=tol)
 
@@ -440,7 +446,8 @@ def gamma_l1_mass(z: EventPoint, tau: float, tol: float = 1e-4
 
     Substituting w = log(xi/x)/2 and u = (eta - y)/(2x) turns the integral
     into the total mass of the underlying joint density at elapsed/2, which
-    is then integrated by the same panelled rule as yor_mass.
+    is then integrated by the same panelled rule as yor_mass, and raises
+    as it does when the estimate exceeds tol.
     """
     if z.t <= tau:
         return KernelResult(0.0, 0.0, tol)

@@ -1,14 +1,11 @@
-"""Envelopes and band checks: degenerate cases, fit/validate protocol."""
-import math
-
+"""Envelopes: degenerate cases, fit/validate protocol."""
 import numpy as np
 import pytest
 
 from asianpde.bounds import (fit_multiplicative_constants, gamma_l_envelope,
-                             integral_band_check, sandwich_violations)
+                             sandwich_violations)
 from asianpde.geometry import EventPoint
-from asianpde.kernels import (KernelParams, gamma_k_array, gamma_k_mass,
-                              gamma_l1_array)
+from asianpde.kernels import gamma_k_array, gamma_l1_array
 
 
 def test_envelope_constants_validation():
@@ -16,23 +13,6 @@ def test_envelope_constants_validation():
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             gamma_l_envelope(z, pole, eps)
-
-
-# -- integral band -------------------------------------------------------------
-
-def test_band_check_trivial_inside():
-    assert integral_band_check(1.0, 0.7, 2.0)
-
-
-def test_band_check_kernel_mass():
-    mass = gamma_k_mass(KernelParams(1.0), EventPoint(0.1, 0.2, 1.0), 0.0)
-    assert integral_band_check(mass, 0.5, 1.0, tol=1e-9)
-
-
-def test_band_check_outside():
-    assert not integral_band_check(math.exp(0.5 * 1.0) * 1.1, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        integral_band_check(1.0, -1.0, 1.0)
 
 
 # -- K sandwich: fit on train, assert on test -----------------------------------

@@ -1,4 +1,4 @@
-"""Command-line front end: outputs, exit codes, config handling, idempotence."""
+"""Command-line front end: outputs, exit codes, idempotence."""
 import csv
 import json
 import math
@@ -188,31 +188,13 @@ def test_usage_error_bad_point(capsys):
     assert "--point" in err
 
 
-def test_config_file_applies(tmp_path, capsys):
+def test_config_option_is_gone(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma=0.4\nstrike=1.0\nmaturity=1.0\n")
-    code, out, _ = run_cli(["price", "--kind", "geometric", "--sigma", "0.4",
-                            "--config", str(cfg)], capsys)
-    assert code == EXIT_OK
-
-
-def test_config_conflict_reported(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma=0.5\n")
-    code, out, err = run_cli(["price", "--kind", "geometric",
-                              "--sigma", "0.4", "--config", str(cfg)],
-                             capsys)
-    assert code == EXIT_OK
-    assert "conflict" in err and "command line" in err
-
-
-def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("nonsense=1\n")
+    cfg.write_text("sigma=0.4\n")
     code, _, err = run_cli(["price", "--kind", "geometric", "--sigma", "0.4",
                             "--config", str(cfg)], capsys)
     assert code == EXIT_USAGE
-    assert "nonsense" in err
+    assert "--config" in err
 
 
 def test_help_documents_csv_columns():

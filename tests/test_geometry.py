@@ -1,4 +1,4 @@
-"""Group laws, quasi-distance, Holder estimation, bracket rank."""
+"""Group laws and quasi-distance."""
 import math
 
 import numpy as np
@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asianpde.geometry import (EventPoint, GeometryKind, HolderEstimate,
-                               compose, dilate_k, dist, holder_seminorm,
-                               identity, inverse, lie_rank)
+from asianpde.geometry import EventPoint, GeometryKind, compose, dist, inverse
 
 K, L = GeometryKind.K, GeometryKind.L
 
@@ -35,15 +33,15 @@ def test_compose_l_example():
 
 
 def test_k_zero_element():
-    p = kpoint(0.7, -1.3, 2.2)
-    assert compose(K, identity(K), p) == p
-    assert compose(K, p, identity(K)) == p
+    p, e = kpoint(0.7, -1.3, 2.2), kpoint(0, 0, 0)
+    assert compose(K, e, p) == p
+    assert compose(K, p, e) == p
 
 
 def test_l_identity_element():
-    p = kpoint(2.0, -1.0, 3.0)
-    assert compose(L, identity(L), p) == p
-    assert compose(L, p, identity(L)) == p
+    p, e = kpoint(2.0, -1.0, 3.0), kpoint(1, 0, 0)
+    assert compose(L, e, p) == p
+    assert compose(L, p, e) == p
 
 
 def test_inverse_k_example():
@@ -102,33 +100,6 @@ def test_l_domain_errors():
         dist(L, kpoint(1, 0, 0), kpoint(-2, 0, 0))
 
 
-# -- dilations ---------------------------------------------------------------
-
-def test_dilate_exponents():
-    assert dilate_k(2.0, kpoint(1, 1, 1)) == kpoint(2, 8, 4)
-
-
-def test_dilate_identity():
-    p = kpoint(0.3, -2.0, 1.5)
-    assert dilate_k(1.0, p) == p
-
-
-def test_dilate_group_property():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        p = kpoint(*rng.normal(size=3))
-        r = float(rng.uniform(0.1, 5.0))
-        q = dilate_k(r, dilate_k(1.0 / r, p))
-        assert math.isclose(q.x, p.x, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(q.y, p.y, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(q.t, p.t, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_dilate_domain_error():
-    with pytest.raises(ValueError):
-        dilate_k(0.0, kpoint(1, 1, 1))
-
-
 # -- quasi-distance ----------------------------------------------------------
 
 def test_dist_far_points_are_close():
@@ -148,7 +119,8 @@ def test_dist_k_homogeneity():
         z = kpoint(*rng.normal(size=3))
         w = kpoint(*rng.normal(size=3))
         r = float(rng.uniform(0.2, 4.0))
-        lhs = dist(K, dilate_k(r, z), dilate_k(r, w))
+        lhs = dist(K, EventPoint(r * z.x, r**3 * z.y, r**2 * z.t),
+                   EventPoint(r * w.x, r**3 * w.y, r**2 * w.t))
         assert math.isclose(lhs, r * dist(K, z, w), rel_tol=1e-12)
 
 
@@ -207,90 +179,3 @@ def test_quasi_triangle_constant_bounded():
     c_emp_l = float(np.max(num[mask] / den[mask]))
     print(f"empirical L quasi-triangle constant: {c_emp_l:.4f}")
     assert c_emp_l < 4.0
-
-
-# -- Holder seminorm ---------------------------------------------------------
-
-def test_holder_constant_field():
-    pts = [(kpoint(0, 0, 0), 5.0), (kpoint(1, 2, 3), 5.0),
-           (kpoint(-1, 0, 2), 5.0)]
-    est = holder_seminorm(K, pts, alpha=0.5)
-    assert est.seminorm == 0.0
-    assert est.sample_count == 3
-
-
-def test_holder_y_function_blows_up():
-    # f(x,y,t) = y on pairs whose quasi-distance is |t-tau|^(1/2): shrinking
-    # the time gap at fixed y-gap drives the estimate arbitrarily high, so
-    # a function of y alone is never intrinsically Holder unless constant
-    def pair(dt):
-        x = 1.0 / dt  # keeps the shear term exactly cancelled
-        return [(EventPoint(x, 0.0, dt), 0.0), (EventPoint(x, 1.0, 0.0), 1.0)]
-
-    base = holder_seminorm(K, pair(1.0), alpha=1.0).seminorm
-    assert base == pytest.approx(1.0)
-    refined = holder_seminorm(K, pair(1e-6), alpha=1.0).seminorm
-    assert refined > 1e2 * base
-
-
-def test_holder_distance_power_is_sharp():
-    # f = dist(., z0)^alpha has seminorm >= 1 witnessed by pairs through z0
-    z0 = kpoint(0.0, 0.0, 0.0)
-    alpha = 0.5
-    rng = np.random.default_rng(3)
-    pts = [(z0, 0.0)]
-    for _ in range(40):
-        p = kpoint(*rng.uniform(-1, 1, size=3))
-        pts.append((p, dist(K, p, z0) ** alpha))
-    est = holder_seminorm(K, pts, alpha=alpha)
-    assert est.seminorm >= 1.0 - 1e-12
-    # brute-force oracle over all pairs agrees with the estimator
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = dist(K, pts[i][0], pts[j][0])
-            if d > 0:
-                best = max(best, abs(pts[i][1] - pts[j][1]) / d**alpha)
-    assert est.seminorm == pytest.approx(best)
-
-
-def test_holder_lipschitz_is_finite_at_third():
-    # Euclidean-Lipschitz functions live in the intrinsic class with
-    # exponent 1/3 on bounded sets
-    rng = np.random.default_rng(4)
-    f = lambda p: 2.0 * p.x - 0.5 * p.y + 0.25 * p.t
-    pts = [(kpoint(*rng.uniform(-2, 2, size=3)),) for _ in range(60)]
-    samples = [(p[0], f(p[0])) for p in pts]
-    est = holder_seminorm(K, samples, alpha=1.0 / 3.0)
-    assert np.isfinite(est.seminorm)
-    assert est.seminorm < 50.0
-
-
-def test_holder_errors():
-    with pytest.raises(ValueError):
-        holder_seminorm(K, [(kpoint(0, 0, 0), 1.0)], alpha=0.5)
-    with pytest.raises(ValueError):
-        holder_seminorm(K, [(kpoint(0, 0, 0), 1.0), (kpoint(0, 0, 0), 2.0)],
-                        alpha=0.5)
-    with pytest.raises(ValueError):
-        HolderEstimate(alpha=1.5, seminorm=0.0, sample_count=2)
-
-
-# -- bracket rank ------------------------------------------------------------
-
-def test_lie_rank_k_everywhere():
-    assert lie_rank(K, kpoint(0, 0, 0)) == 3
-    assert lie_rank(K, kpoint(-3, 7, 2)) == 3
-
-
-def test_lie_rank_l():
-    assert lie_rank(L, kpoint(1, 0, 0)) == 3
-
-
-def test_lie_rank_l_near_degenerate_edge():
-    # the determinant x^2 is nonzero for every x > 0, even where it
-    # underflows in floating point (x = 1e-170, the subnormal 5e-324)
-    for x in (1e-12, 1e-170, 5e-324):
-        assert lie_rank(L, kpoint(x, 0.0, 0.0)) == 3
-    with pytest.raises(ValueError):
-        lie_rank(L, kpoint(0.0, 0.0, 0.0))

@@ -323,6 +323,15 @@ def test_yor_mass_is_one():
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t", [0.05, 0.1])
+def test_yor_mass_refuses_short_times(t):
+    # the rule's estimate there is 2.5e27 and 9.1e5, far above tol
+    with pytest.raises(ThetaConvergenceError):
+        yor_mass(t, tol=1e-4)
+    with pytest.raises(ThetaConvergenceError):
+        gamma_l1_mass(EventPoint(1.0, 0.0, 2.0 * t), 0.0, tol=1e-4)
+
+
 def test_yor_density_batch_reference_values():
     w = np.array([w for w, _ in YOR_REF])
     y = np.array([y for _, y in YOR_REF])

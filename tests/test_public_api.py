@@ -1,5 +1,6 @@
-"""Public surface: declared exports resolve, and the benchmark's traced
-functions stay public."""
+"""Public surface: declared exports resolve, every export is used, and the
+benchmark's traced functions stay public."""
+import ast
 import importlib
 import json
 import pkgutil
@@ -43,3 +44,32 @@ def test_benchmark_layers_are_public():
                if fn not in _public_functions(
                    importlib.import_module(f"asianpde.{mod}"))]
     assert missing == []
+
+
+def _names_used(path):
+    """Identifiers a source file reads, attributes it takes and names it
+    imports; definitions, strings and comments do not count."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_exported_callable_is_used():
+    # an export that no library module and no benchmark file names is
+    # reached by tests alone; fd.load_grid reads what fd-solve --out writes
+    files = (sorted(Path(asianpde.__file__).parent.glob("*.py"))
+             + sorted((Path(__file__).resolve().parents[1] / "bench")
+                      .glob("*.py")))
+    used = set().union(*map(_names_used, files))
+    dead = []
+    for m in MODULES:
+        module = importlib.import_module(f"asianpde.{m}")
+        dead += [f"{m}.{n}" for n in getattr(module, "__all__", ())
+                 if callable(getattr(module, n)) and n not in used]
+    assert dead == ["fd.load_grid"]
