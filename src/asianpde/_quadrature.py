@@ -17,20 +17,15 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights tiled over consecutive panels.
-
-    Panels run along the last axis of `edges`; leading axes are batch axes,
-    each row giving the same nodes as a 1-D call on it."""
+    """Gauss-Legendre nodes/weights tiled over the consecutive panels of a
+    1-D array of edges."""
     x, w = gauss_legendre(order)
     edges = np.asarray(edges, dtype=float)
-    a = edges[..., :-1]
-    b = edges[..., 1:]
+    a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    shape = edges.shape[:-1] + (-1,)
-    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
-    weights = (half[..., None] * w).reshape(shape)
-    return nodes, weights
+    return ((mid[:, None] + half[:, None] * x).ravel(),
+            (half[:, None] * w).ravel())
 
 
 def uniform_edges(a: float, b: float, max_width: float) -> np.ndarray:

@@ -3,15 +3,16 @@
 A problem is a payoff spec, the only holder of sigma and r, and its payoff
 on the state plane of the spec's family; `price` integrates that family's
 fundamental solution against it, u = integral of Gamma * phi with lambda =
-sigma^2/2.  The quadrature runs in kernel-adapted coordinates, one tensor
-rule over blocks of rows each.  The log-price family uses standardized
-Gaussian variables.  The price family uses s = log z and v = log u of
-Yor's density: theta depends on s alone, so one call per rule evaluates it
-on the outer s nodes; the rows are cut to the band |s + v| <= w_half that
-truncates w, and s stops at 7, above which e^-z underflows.  Panel edges
-sit at payoff kinks and truncation radii are chosen so the discarded
-envelope mass times the growth bound stays below the requested tolerance.
-A price whose error estimate misses the tolerance is refused.
+sigma^2/2.  The quadrature runs in kernel-adapted coordinates: per rule
+order, fixed outer nodes times fixed inner edges, in blocks of rows.  The
+log-price family uses standardized Gaussian variables rotated so that each
+kink line is one inner edge; a rotation keeps the truncation radius.  The
+price family uses s = log z and v = log u of Yor's density: theta depends
+on s alone, so one call per rule evaluates it on the outer s nodes; the
+rows are cut to the band |s + v| <= w_half that truncates w, and s stops at
+7, above which e^-z underflows.  Truncation radii are chosen so the
+discarded envelope mass times the growth bound stays below the requested
+tolerance.  A price whose error estimate misses the tolerance is refused.
 """
 from __future__ import annotations
 
@@ -191,12 +192,14 @@ def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
 
 def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
                    lam: float, tol: float) -> tuple[float, float]:
-    """Tensor Gauss rule on [-L, L]^2 in the standardized (xbar, ybar).
+    """Tensor Gauss rule on [-L, L]^2 in rotated standardized (xbar, ybar).
 
-    Each outer row takes the uniform panels plus one edge per kink line, a
-    kink outside (-L, L) splitting the first panel, so all rows share one
-    panel count; a block of rows is one sorted edge matrix, and blocks of
-    BLOCK_NODES nodes keep the working memory under 1 MB a price."""
+    xi = x - sx*xbar and eta = c - n*rho, with c = y + dt*x, p = dt*sx/2,
+    n = hypot(p, sy), inner rho = (p*xbar + sy*ybar)/n and outer
+    (p*ybar - sy*xbar)/n, so a kink line k is the inner edge (c - k)/n of
+    every row.  A rotation keeps the Gaussian, the map's norm and the corner
+    radius sqrt(2)*L, so L is the unrotated one.  Row blocks of BLOCK_NODES
+    nodes keep the working memory under 1 MB a price."""
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t
     # shift onto the drift-free model operator, discount at the end
@@ -218,25 +221,22 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
     slope = math.hypot(sx, sy) * (1.0 + dt)
     L = _truncation_radius(growth, offset, slope, tol)
 
-    kinks = np.asarray(spec.kink_lines, float)
+    c, n = y + dt * x, math.hypot(dt * sx / 2.0, sy)
+    rho_kinks = (c - np.asarray(spec.kink_lines, float)) / n
     phi = problem.initial
 
     def integrate(order: int, width: float) -> float:
-        edges = _edges_with_kinks(-L, L, width, ())
-        xb, wx = panel_nodes(edges, order)
-        wx = wx * np.exp(-xb * xb)
-        rows = max(1, BLOCK_NODES // (order * (edges.size - 1 + kinks.size)))
+        perp, wp = panel_nodes(_edges_with_kinks(-L, L, width, ()), order)
+        rho, wr = panel_nodes(_edges_with_kinks(-L, L, width, rho_kinks),
+                              order)
+        wp, wr = wp * np.exp(-perp * perp), wr * np.exp(-rho * rho)
+        eta, xi_rho = c - n * rho, x - (dt * sx * sx / (2.0 * n)) * rho
+        rows = max(1, BLOCK_NODES // rho.size)
         total = 0.0
-        for lo in range(0, xb.size, rows):
-            xi = x - sx * xb[lo:lo + rows, None]
-            eta_center = y + dt * (x + xi) / 2.0
-            yb_kinks = (eta_center - kinks) / sy
-            yb_kinks[np.abs(yb_kinks) >= L] = 0.5 * (edges[0] + edges[1])
-            row_edges = np.broadcast_to(edges, (xi.size, edges.size))
-            yb, wy = panel_nodes(np.sort(np.concatenate(
-                (row_edges, yb_kinks), axis=1), axis=1), order)
-            vals = np.asarray(phi(xi, eta_center - sy * yb), float)
-            total += wx[lo:lo + rows] @ (wy * (np.exp(-yb**2) * vals)).sum(1)
+        for lo in range(0, perp.size, rows):
+            xi = xi_rho + (sx * sy / n) * perp[lo:lo + rows, None]
+            vals = np.broadcast_to(phi(xi, eta), xi.shape)
+            total += wp[lo:lo + rows] @ (vals @ wr)
         return float(total) / math.pi
 
     coarse = integrate(8, 0.5)

@@ -145,58 +145,103 @@ def test_price_linearity_in_payoff():
 
 
 @pytest.fixture
-def edge_blocks(monkeypatch):
-    """Edge matrices of the Gamma_K tensor rule, one per block of rows."""
-    blocks, panel_nodes = [], pricing.panel_nodes
+def rule_edges(monkeypatch):
+    """Edges of every panel_nodes call of the Gamma_K rule, in call order."""
+    calls, panel_nodes = [], pricing.panel_nodes
 
     def recorded(edges, order):
-        if np.ndim(edges) == 2:
-            blocks.append(np.array(edges))
+        calls.append(np.array(edges))
         return panel_nodes(edges, order)
 
     monkeypatch.setattr(pricing, "panel_nodes", recorded)
-    return blocks
+    return calls
 
 
-def rows_with_kinks_outside(blocks, n):
-    """Rows whose n kink edges all sit at the first panel's midpoint."""
-    count = 0
-    for e in blocks:
-        mid = 0.5 * (e[:, 0] + e[:, n + 1])
-        count += int(np.sum(np.all(e[:, 1:n + 1] == mid[:, None], axis=1)))
-    return count
+def kink_edges(sigma, rate, maturity, kinks):
+    """rho_k = (c - k)/n of each kink line k at (0, 0, maturity): c is the
+    drift-shifted y + dt*x and n = |d eta / d(xbar, ybar)|."""
+    lam = 0.5 * sigma**2
+    x = (rate - lam) * maturity
+    y = (lam - rate) * maturity**2 / 2.0
+    n = math.sqrt(4.0 * lam * maturity**3 / 3.0)
+    return (y + maturity * x - np.asarray(kinks, float)) / n
+
+
+def check_rule_edges(calls, rho_kinks):
+    """Two rules of 1-D edges, outer then inner: the inner edges are the
+    outer ones plus each kink inside (-L, L) once, and none outside."""
+    assert len(calls) == 4
+    assert all(e.ndim == 1 for e in calls)
+    for outer, inner in (calls[:2], calls[2:]):
+        L = -outer[0]
+        inside = np.sort(rho_kinks[np.abs(rho_kinks) < L])
+        assert np.all(np.isin(outer, inner))
+        extra = np.setdiff1d(inner, outer)
+        assert extra.size == inside.size
+        np.testing.assert_allclose(extra, inside, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("sigma,maturity,strike,rate", list(
     itertools.product((0.1, 0.6), (0.25, 2.0), (0.8, 1.25), (0.0, 0.08))))
 def test_price_geometric_book_grid(sigma, maturity, strike, rate,
-                                   edge_blocks):
+                                   rule_edges):
     spec = geometric_spec(sigma=sigma, rate=rate, strike=strike,
                           maturity=maturity)
     res = price(transform_geometric(spec), EventPoint(0.0, 0.0, maturity),
                 tol=1e-8)
     ref = lognormal_geometric_call(sigma, rate, strike, maturity)
     assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
-    assert rows_with_kinks_outside(edge_blocks, 1) > 0
+    check_rule_edges(rule_edges, kink_edges(sigma, rate, maturity,
+                                            spec.kink_lines))
 
 
 @pytest.mark.parametrize("sigma,maturity", [(0.1, 0.25), (0.4, 1.0),
                                             (0.6, 2.0)])
-def test_price_two_kinks_outside_the_box(sigma, maturity, edge_blocks):
+def test_price_two_kinks_outside_the_box(sigma, maturity, rule_edges):
     def combo(s, a):
         return (2.0 * geometric_call_payoff(1.0, maturity)(s, a)
                 + 3.0 * geometric_call_payoff(1.2, maturity)(s, a))
 
-    # kink lines in descending order: each row sorts its own edges
-    spec = geometric_spec(payoff=combo, sigma=sigma, maturity=maturity,
-                          growth=GrowthBound(5.0, 1.5 / maturity, 1.0),
-                          kinks=(maturity * math.log(1.2), 0.0))
-    res = price(transform_geometric(spec), EventPoint(0.0, 0.0, maturity),
-                tol=1e-8)
+    def priced(kinks):
+        rule_edges.clear()
+        spec = geometric_spec(payoff=combo, sigma=sigma, maturity=maturity,
+                              growth=GrowthBound(5.0, 1.5 / maturity, 1.0),
+                              kinks=kinks)
+        res = price(transform_geometric(spec),
+                    EventPoint(0.0, 0.0, maturity), tol=1e-8)
+        return res, list(rule_edges)
+
+    kinks = (maturity * math.log(1.2), 0.0)     # descending order
+    res, edges = priced(kinks)
     ref = (2.0 * lognormal_geometric_call(sigma, 0.0, 1.0, maturity)
            + 3.0 * lognormal_geometric_call(sigma, 0.0, 1.2, maturity))
     assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
-    assert rows_with_kinks_outside(edge_blocks, 2) > 0
+    check_rule_edges(edges, kink_edges(sigma, 0.0, maturity, kinks))
+    # ascending order, or two more kink lines far outside the box, give
+    # the same edges
+    for other in (kinks[::-1], kinks + (-1e3, 1e3)):
+        again = priced(other)[1]
+        assert all(np.array_equal(a, b) for a, b in zip(edges, again))
+
+
+@pytest.mark.parametrize("sigma,rate,maturity,spot", [
+    (0.4, 0.05, 1.0, 1.3), (0.1, 0.0, 0.25, 0.7), (0.6, 0.08, 2.0, 1.0)])
+def test_price_payoff_of_spot_and_average(sigma, rate, maturity, spot):
+    # phi(S, A) = S e^(A/T) depends on both state variables, so a wrongly
+    # rotated rule shows; log S_T + A/T is Gaussian with mean
+    # 2 log S0 + 1.5 nu T and variance 7 sigma^2 T / 3
+    def phi(s, a):
+        return np.asarray(s) * np.exp(np.asarray(a) / maturity)
+
+    growth = GrowthBound(1.0, math.sqrt(2.0) * max(1.0, 1.0 / maturity), 1.0)
+    spec = geometric_spec(payoff=phi, sigma=sigma, rate=rate,
+                          maturity=maturity, growth=growth, kinks=())
+    res = price(transform_geometric(spec),
+                EventPoint(math.log(spot), 0.0, maturity), tol=1e-8)
+    nu = rate - 0.5 * sigma**2
+    ref = math.exp(-rate * maturity + 2.0 * math.log(spot)
+                   + 1.5 * nu * maturity + 7.0 / 6.0 * sigma**2 * maturity)
+    assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
 
 
 def test_price_geometric_memory_peak():

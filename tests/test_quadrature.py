@@ -1,4 +1,4 @@
-"""Panel Gauss-Legendre rules, in one dimension and over batch axes."""
+"""Panel Gauss-Legendre rules."""
 import numpy as np
 import pytest
 
@@ -28,15 +28,3 @@ def test_panel_nodes_one_dimensional_unchanged(edges, order):
     assert nodes.shape == weights.shape == ((len(edges) - 1) * order,)
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(weights, ref_weights)
-
-
-@pytest.mark.parametrize("shape", [(5, 9), (2, 3, 7)])
-def test_panel_nodes_rows_match_one_dimensional_calls(shape):
-    edges = np.sort(np.random.default_rng(3).normal(size=shape), axis=-1)
-    nodes, weights = panel_nodes(edges, 12)
-    assert nodes.shape == weights.shape == shape[:-1] + ((shape[-1] - 1)
-                                                         * 12,)
-    for idx in np.ndindex(shape[:-1]):
-        row_nodes, row_weights = panel_nodes(edges[idx], 12)
-        assert np.array_equal(nodes[idx], row_nodes)
-        assert np.array_equal(weights[idx], row_weights)
