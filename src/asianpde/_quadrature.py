@@ -1,7 +1,10 @@
-"""Shared quadrature primitives: cached Gauss-Legendre rules and panel helpers."""
+"""Shared quadrature primitives: cached Gauss-Legendre rules, panel
+helpers and the dual-rule driver that gives every kernel integral its
+error estimate."""
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,3 +34,28 @@ def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 def uniform_edges(a: float, b: float, max_width: float) -> np.ndarray:
     n = max(1, int(np.ceil((b - a) / max_width)))
     return np.linspace(a, b, n + 1)
+
+
+def edges_with_kinks(lo: float, hi: float, width: float,
+                     kinks: Sequence[float]) -> np.ndarray:
+    """Panel edges of at most `width` on [lo, hi], plus each kink inside
+    (lo, hi) as one more edge."""
+    k = np.asarray(kinks, float)
+    return np.unique(np.concatenate(
+        (np.arange(lo, hi, width), [hi], k[(lo < k) & (k < hi)])))
+
+
+def dual_rule(rule: Callable[[int, float], tuple[float, float]],
+              fine_width: float, budget: float) -> tuple[float, float]:
+    """Value and error estimate of rule(order, width) -> (value, term),
+    where the term is the integrand's own error, 0.0 if it has none.
+
+    The coarse rule is order 8, width 0.5 and the fine rule order 12,
+    `fine_width`.  The value is the fine one and the estimate is
+    |fine - coarse| plus the larger term.  A coarse term above `budget`
+    returns the coarse pair at once: the fine rule never runs."""
+    coarse, coarse_term = rule(8, 0.5)
+    if coarse_term > budget:
+        return coarse, coarse_term
+    fine, fine_term = rule(12, fine_width)
+    return fine, abs(fine - coarse) + max(coarse_term, fine_term)

@@ -301,7 +301,7 @@ def criterion_11_comparison_principle():
     worst = 0.0
     for _ in range(100):
         init = np.maximum(rng.normal(size=(grid.nx, grid.ny)), 0.0)
-        sol = solve_cauchy(field, init, grid, store="final")
+        sol = solve_cauchy(field, init, grid)
         worst = min(worst, float(sol.final.min()))
     return (worst >= -1e-12,
             f"minimum value over 100 random nonnegative data = {worst:.2e}")

@@ -164,8 +164,7 @@ def _cmd_fd_solve(args) -> int:
                     ny=args.ny, nt=args.nt, kind=kind)
     pole = _parse_point(args.pole or pole_default, "--pole")
     sol = approximate_fundamental_solution(field, pole, grid,
-                                           delta_width=args.delta_width,
-                                           store="final")
+                                           delta_width=args.delta_width)
     save_grid(sol, args.out)
     print(f"wrote {args.out} (final mass {float(sol.mass_history[-1])!r})")
     return EXIT_OK

@@ -78,9 +78,8 @@ class CoefficientField:
     a, b, r are callables of (x, y, t) acting on broadcastable arrays (plain
     numbers are wrapped).  lam <= a <= Lam and |b|, |r| <= Lam must hold on
     any grid the field is used on; kind=L additionally requires r == 0.
-    time_independent=True (the default) lets the solver assemble and factor
-    its implicit step once, with the coefficients frozen at the time of the
-    first step; set it to False when a, b or r depend on t.
+    The solver takes a field whose x-bands agree bitwise at its first,
+    middle and last step times as time-independent (see solve_cauchy).
     """
 
     a: Callable
@@ -89,7 +88,6 @@ class CoefficientField:
     lam: float
     Lam: float
     kind: GeometryKind = GeometryKind.K
-    time_independent: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.lam <= self.Lam < math.inf):
@@ -261,8 +259,7 @@ def mollify(field: CoefficientField, spec: MollifierSpec,
             return _chi_n(n, x, y) * r0(x, y, t)
 
         out = CoefficientField(a=a_n, b=b_n, r=r_n, lam=field.lam,
-                               Lam=field.Lam, kind=field.kind,
-                               time_independent=field.time_independent)
+                               Lam=field.Lam, kind=field.kind)
     else:
         nodes, weights = _bump_nodes()
 
@@ -282,8 +279,7 @@ def mollify(field: CoefficientField, spec: MollifierSpec,
 
         out = CoefficientField(a=convolve(field.a), b=convolve(field.b),
                                r=convolve(field.r), lam=field.lam,
-                               Lam=field.Lam, kind=field.kind,
-                               time_independent=field.time_independent)
+                               Lam=field.Lam, kind=field.kind)
     if check_grid is not None:
         out.check_bounds(check_grid.physical_x(check_grid.xs), check_grid.ys,
                          check_grid.t_range[0])
@@ -294,12 +290,15 @@ def mollify(field: CoefficientField, spec: MollifierSpec,
 # Discrete operators
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _x_bands(field: CoefficientField, grid: GridSpec, t: float):
     """Bands (lower, diag, upper) of D, the x-part of the operator at time t.
 
     Row i of D acts on u[i-1], u[i], u[i+1]: flux-form diffusion with a at
     the half points, central drift b and -r.  The end rows keep only their
     inner flux (zero-flux ghosts) and no drift, so constants stay exact.
+    Overflow gives non-finite bands without a warning; the solver refuses
+    them.
     """
     dx = grid.dx
     X, Y = np.meshgrid(grid.physical_x(grid.xs), grid.ys, indexing="ij")
@@ -356,32 +355,26 @@ DEFAULT_SCHEME = {
 
 @dataclass
 class Solution:
-    """Space-time grid function with bookkeeping from the solve."""
+    """Final grid slice with bookkeeping from the solve."""
 
     grid: GridSpec
-    times: np.ndarray
-    frames: np.ndarray            # (n_stored, nx, ny)
+    final: np.ndarray             # (nx, ny) at the grid's last time
     mass_history: np.ndarray      # discrete integral after each step
     transport_leakage: np.ndarray  # mass lost at y edges, per step
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.frames[-1]
 
-
-def _implicit_solver(field: CoefficientField, grid: GridSpec, t: float,
+def _implicit_solver(bands, grid: GridSpec, t: float,
                      dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """solve(rhs) for (I - dt*D), D the x-operator at time t.  Laid out
-    x-fastest, the y columns form one tridiagonal system of nx*ny unknowns,
-    block diagonal as lower[0] = upper[-1] = 0: LAPACK dgttrf factors it
-    once here and each solve is one dgttrs call.
+    """solve(rhs) for (I - dt*D), D the x-operator at time t given by its
+    bands.  Laid out x-fastest, the y columns form one tridiagonal system of
+    nx*ny unknowns, block diagonal as lower[0] = upper[-1] = 0: LAPACK
+    dgttrf factors it once here and each solve is one dgttrs call.
 
     Raises ValueError when D has a negative off-diagonal: I - dt*D is then
     no M-matrix and the step can turn nonnegative data negative."""
     # a local import keeps scipy.linalg out of `import asianpde.cli`
     from scipy.linalg.lapack import dgttrf, dgttrs
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        lower, diag, upper = _x_bands(field, grid, t)
+    lower, diag, upper = bands
     if (lower < 0.0).any() or (upper < 0.0).any():
         raise ValueError(
             f"drift dominates diffusion on the x grid at t={float(t)!r}: the "
@@ -401,14 +394,17 @@ def _implicit_solver(field: CoefficientField, grid: GridSpec, t: float,
 
 
 def solve_cauchy(field: CoefficientField, initial: np.ndarray,
-                 grid: GridSpec, store: str = "all") -> Solution:
+                 grid: GridSpec) -> Solution:
     """March the Cauchy problem from the initial slice to the final time.
 
     Lie splitting: explicit upwind transport in y (monotone under the CFL
     constraint), then implicit Euler for the x-diffusion/drift/zero-order
     block (an M-matrix solve while a >= |b|*dx/2, refused with ValueError
     where that cell Peclet condition fails).  For r >= 0 the scheme obeys
-    the discrete maximum principle.  store: 'all' | 'final'.
+    the discrete maximum principle.  The implicit step is factored once
+    when the bands of D at the first, middle and last step times are
+    bitwise equal, else at every step: a field that varies in t yet agrees
+    at those three times is stepped as if frozen at the first.
     """
     if initial.shape != (grid.nx, grid.ny):
         raise GridMismatchError(
@@ -428,29 +424,27 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     area = grid.cell_area
 
     u = initial.astype(float).copy()
-    frames = [u.copy()] if store == "all" else None
     mass = [float(u.sum() * area)]
     leakage = []
-    solve = None
+    bands = _x_bands(field, grid, ts[1])
+    frozen = all(np.array_equal(a, b) for k in ((grid.nt + 1) // 2, grid.nt)
+                 for a, b in zip(bands, _x_bands(field, grid, ts[k])))
+    solve = _implicit_solver(bands, grid, ts[1], dt)
     for n in range(grid.nt):
         # transport substep (explicit upwind, copy-out at y edges); the
         # mass before it is the one the previous step recorded
         u = u + nupos * (u[:, up] - u) + nuneg * (u[:, dn] - u)
         leakage.append(float(u.sum() * area - mass[-1]))
         # diffusion substep (implicit)
-        if solve is None or not field.time_independent:
-            solve = _implicit_solver(field, grid, ts[n + 1], dt)
+        if n > 0 and not frozen:
+            solve = _implicit_solver(_x_bands(field, grid, ts[n + 1]),
+                                     grid, ts[n + 1], dt)
         u = solve(u)
         # a finite sum has finite entries: scan u only when it is not
         mass.append(float(u.sum() * area))
         if not math.isfinite(mass[-1]) and not np.all(np.isfinite(u)):
             raise SolveError(f"solver produced non-finite values at step {n}")
-        if store == "all":
-            frames.append(u.copy())
-    frames_arr = np.array(frames) if store == "all" else u[None, :, :]
-    times = ts if store == "all" else ts[-1:]
-    return Solution(grid=grid, times=times, frames=frames_arr,
-                    mass_history=np.array(mass),
+    return Solution(grid=grid, final=u, mass_history=np.array(mass),
                     transport_leakage=np.array(leakage))
 
 
@@ -471,8 +465,7 @@ def delta_approximant(grid: GridSpec, x0: float, y0: float,
 
 def approximate_fundamental_solution(field: CoefficientField,
                                      pole: EventPoint, grid: GridSpec,
-                                     delta_width: float = 3.0,
-                                     store: str = "final") -> Solution:
+                                     delta_width: float = 3.0) -> Solution:
     """Kernel slice Gamma(., ., T; pole) via a delta-approximant solve.
 
     The pole must sit inside the spatial grid and at the grid's initial
@@ -487,7 +480,7 @@ def approximate_fundamental_solution(field: CoefficientField,
     if abs(pole.t - grid.t_range[0]) > 1e-12:
         raise ValueError("grid must start at the pole time")
     initial = delta_approximant(grid, x0, pole.y, delta_width)
-    return solve_cauchy(field, initial, grid, store=store)
+    return solve_cauchy(field, initial, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +492,21 @@ _HEADER_FMT = "<4sHcc3I6d"
 
 
 def save_grid(sol: Solution, path: str) -> None:
-    """Flat binary frames with a small header; metadata in a JSON sidecar."""
+    """Final slice as one flat binary frame; metadata in a JSON sidecar."""
     g = sol.grid
     header = struct.pack(
         _HEADER_FMT, _MAGIC, 1, b"<", g.kind.value.encode(),
-        g.nx, g.ny, sol.frames.shape[0],
-        *g.x_range, *g.y_range, *g.t_range,
+        g.nx, g.ny, 1, *g.x_range, *g.y_range, *g.t_range,
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(sol.frames, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(sol.final, dtype="<f8").tobytes())
     meta = {
-        "nx": g.nx, "ny": g.ny, "nt": g.nt,
-        "n_frames": int(sol.frames.shape[0]),
+        "nx": g.nx, "ny": g.ny, "nt": g.nt, "n_frames": 1,
         "x_range": list(g.x_range), "y_range": list(g.y_range),
         "t_range": list(g.t_range), "kind": g.kind.value,
         "scheme": DEFAULT_SCHEME,
-        "times": [float(t) for t in sol.times],
+        "times": [float(g.ts[-1])],
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

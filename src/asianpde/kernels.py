@@ -9,7 +9,7 @@ quadrature with dual-rule error control (:func:`theta_batch`).
 
 Integrals of the density run in s = log z and v = log u, where theta
 depends on s alone, so one theta call per rule covers every node
-(:func:`_yor_band_rule`).
+(:func:`_yor_band_rule`); pricing and :func:`yor_mass` share its box.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import (BLOCK_NODES, gauss_legendre, panel_nodes,
-                          uniform_edges)
+from ._quadrature import (BLOCK_NODES, dual_rule, edges_with_kinks,
+                          gauss_legendre, panel_nodes, uniform_edges)
 from .geometry import EventPoint
 
 __all__ = [
@@ -318,24 +318,29 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
     return out, out_err
 
 
-def _yor_band_rule(t: float, w_half: float, v_edges: np.ndarray, order: int,
-                   width: float, tol: float, f) -> tuple[float, float]:
-    """One Gauss rule for the integral of p(w, u, t) * f(e^2w, u) over
-    |w| <= w_half and log u in [v_edges[0], v_edges[-1]]: the value and its
-    density-level estimate.  f takes a block of e^2w and the row of u.
+def _yor_band_rule(t: float, v_kinks, order: int, width: float, tol: float,
+                   f) -> tuple[float, float]:
+    """One Gauss rule for the integral of p(w, u, t) * f(e^2w, u) over the
+    box |w| <= w_half = 8 sqrt(t) + 3, log u in [-9, 13 sqrt(t) + 4]: the
+    value and its density-level estimate.  f takes a block of e^2w and the
+    row of u.
 
     The rule runs in s = w - log u = log z and v = log u, where dw du =
     ds dv and p du dw = exp(c0(t) + s - e^-v/2 - e^2s e^v/2) e^-z g(z) ds dv.
     theta enters through s alone, so one :func:`theta_batch` call on the
     outer nodes, at their exact z, serves every node.  The s panels of
     `width` cover [-w_half - v_hi, min(w_half - v_lo, 7)]: above s = 7,
-    e^-z underflows.  The v panels are `v_edges`, so a kink edge among
-    them is shared by every row.  The estimate and the dropping of values
-    below it are :func:`yor_density_batch`'s; both are the prefactor times
-    a factor of s, so they are decided once per row.  Rows go in blocks of
-    at most BLOCK_NODES nodes; a block keeps only the v columns that meet
-    the band |s + v| <= w_half, and masks its nodes outside the band.
+    e^-z underflows.  The v panels of `width` take each of `v_kinks` inside
+    the box as one more edge, shared by every row.  The estimate and the
+    dropping of values below it are :func:`yor_density_batch`'s; both are
+    the prefactor times a factor of s, so they are decided once per row.
+    Rows go in blocks of at most BLOCK_NODES nodes; a block keeps only the
+    v columns that meet the band |s + v| <= w_half, and masks its nodes
+    outside the band.
     """
+    w_half = 8.0 * math.sqrt(t) + 3.0
+    v_edges = edges_with_kinks(-9.0, 13.0 * math.sqrt(t) + 4.0, width,
+                               v_kinks)
     vn, vw = panel_nodes(v_edges, order)
     sn, sw = panel_nodes(uniform_edges(
         -w_half - v_edges[-1], min(w_half - v_edges[0], 7.0), width), order)
@@ -375,27 +380,19 @@ def _yor_band_rule(t: float, w_half: float, v_edges: np.ndarray, order: int,
 def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
     """Double integral of p(., ., t) over R x (0, inf) by panelled quadrature.
 
-    The rule is :func:`_yor_band_rule` with f = 1, whose v = log u resolves
-    both the essential singularity at u -> 0+ and the heavy right tail.
-    Should be 1 for every t (p is a probability density); returned as a
-    KernelResult so callers can see the estimate.  Raises
+    The rule pair is :func:`_yor_band_rule` with f = 1 under `dual_rule`;
+    v = log u resolves both the essential singularity at u -> 0+ and the
+    heavy right tail.  Should be 1 for every t (p is a probability density);
+    returned as a KernelResult so callers can see the estimate.  Raises
     ThetaConvergenceError when the estimate exceeds tol, as it does at
     short times where the density's oscillatory factor loses its digits.
     """
-    w_half = 8.0 * math.sqrt(t) + 3.0
-    v_lo, v_hi = -9.0, 13.0 * math.sqrt(t) + 3.0
-
-    def compute(order: int, width: float) -> tuple[float, float]:
-        return _yor_band_rule(t, w_half, uniform_edges(v_lo, v_hi, width),
-                              order, width, tol, lambda e2w, u: 1.0)
-
-    coarse, _ = compute(8, 0.5)
-    fine, qerr = compute(12, 0.34)
-    est = abs(fine - coarse) + qerr
+    value, est = dual_rule(lambda order, width: _yor_band_rule(
+        t, (), order, width, tol, lambda e2w, u: 1.0), 0.34, tol)
     if not est <= tol:
         raise ThetaConvergenceError(
             f"mass at t={t} has error estimate {est:.1e} above tol={tol:.1e}")
-    return KernelResult(value=fine, abs_error_estimate=est,
+    return KernelResult(value=value, abs_error_estimate=est,
                         tolerance_used=tol)
 
 

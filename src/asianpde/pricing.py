@@ -10,19 +10,22 @@ kink line is one inner edge; a rotation keeps the truncation radius.  The
 price family uses s = log z and v = log u of Yor's density: theta depends
 on s alone, so one call per rule evaluates it on the outer s nodes; the
 rows are cut to the band |s + v| <= w_half that truncates w, and s stops at
-7, above which e^-z underflows.  Truncation radii are chosen so the
-discarded envelope mass times the growth bound stays below the requested
-tolerance.  A price whose error estimate misses the tolerance is refused.
+7, above which e^-z underflows.  Each family hands its rule to
+`_quadrature.dual_rule`, which runs the coarse and fine pair and gives the
+estimate.  Truncation radii are chosen so the discarded envelope mass times
+the growth bound stays below tol/10, which `price` adds to the estimate;
+`price` alone refuses a price whose estimate misses the tolerance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ._quadrature import BLOCK_NODES, panel_nodes
+from ._quadrature import (BLOCK_NODES, dual_rule, edges_with_kinks,
+                          panel_nodes)
 from .geometry import EventPoint
 from .kernels import KernelParams, KernelResult, _yor_band_rule
 from .mc import Averaging
@@ -144,15 +147,12 @@ def make_arithmetic_problem(spec: PricingSpec) -> CauchyProblem:
 
 
 def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
-                 transformed: Callable | None = None
-                 ) -> tuple[bool, float]:
-    """Validate |payoff| <= M exp(C |.|^alpha) on the lattice.
-
-    Returns (ok, worst ratio).  `transformed` overrides the sampled
-    function (use for the log-price payoff phi~)."""
+                 transformed: Callable) -> tuple[bool, float]:
+    """Validate |transformed| <= M exp(C |.|^alpha), the spec's growth
+    bound, on the lattice; `transformed` is the problem's initial datum
+    (phi~ for the log-price family).  Returns (ok, worst ratio)."""
     xs, ys = lattice
-    f = transformed if transformed is not None else spec.payoff
-    vals = np.abs(np.asarray(f(xs, ys), float))
+    vals = np.abs(np.asarray(transformed(xs, ys), float))
     env = spec.growth.envelope(xs, ys)
     worst = float(np.max(vals / env))
     return worst <= 1.0 + 1e-12, worst
@@ -161,13 +161,6 @@ def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
 # ---------------------------------------------------------------------------
 # Representation formula
 # ---------------------------------------------------------------------------
-
-def _edges_with_kinks(lo: float, hi: float, width: float,
-                      kinks: Sequence[float]) -> np.ndarray:
-    k = np.asarray(kinks, float)
-    return np.unique(np.concatenate(
-        (np.arange(lo, hi, width), [hi], k[(lo < k) & (k < hi)])))
-
 
 def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
                        tol: float) -> float:
@@ -191,7 +184,8 @@ def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
 
 
 def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
-                   lam: float, tol: float) -> tuple[float, float]:
+                   lam: float, tol: float, budget: float
+                   ) -> tuple[float, float]:
     """Tensor Gauss rule on [-L, L]^2 in rotated standardized (xbar, ybar).
 
     xi = x - sx*xbar and eta = c - n*rho, with c = y + dt*x, p = dt*sx/2,
@@ -225,9 +219,9 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
     rho_kinks = (c - np.asarray(spec.kink_lines, float)) / n
     phi = problem.initial
 
-    def integrate(order: int, width: float) -> float:
-        perp, wp = panel_nodes(_edges_with_kinks(-L, L, width, ()), order)
-        rho, wr = panel_nodes(_edges_with_kinks(-L, L, width, rho_kinks),
+    def integrate(order: int, width: float) -> tuple[float, float]:
+        perp, wp = panel_nodes(edges_with_kinks(-L, L, width, ()), order)
+        rho, wr = panel_nodes(edges_with_kinks(-L, L, width, rho_kinks),
                               order)
         wp, wr = wp * np.exp(-perp * perp), wr * np.exp(-rho * rho)
         eta, xi_rho = c - n * rho, x - (dt * sx * sx / (2.0 * n)) * rho
@@ -237,24 +231,19 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
             xi = xi_rho + (sx * sy / n) * perp[lo:lo + rows, None]
             vals = np.broadcast_to(phi(xi, eta), xi.shape)
             total += wp[lo:lo + rows] @ (vals @ wr)
-        return float(total) / math.pi
+        return float(total) / math.pi, 0.0
 
-    coarse = integrate(8, 0.5)
-    fine = integrate(12, 0.3)
-    return discount * fine, discount * abs(fine - coarse) + tol / 10.0
+    value, err = dual_rule(integrate, 0.3, budget)
+    return discount * value, discount * err
 
 
 def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
-                   tol: float) -> tuple[float, float]:
-    """Yor's density at Yor time lam*dt/2 against the payoff, in
-    s = log z = w - v and v = log u (:func:`kernels._yor_band_rule`).
+                   tol: float, budget: float) -> tuple[float, float]:
+    """Yor's density at Yor time lam*dt/2 against the payoff, by
+    :func:`kernels._yor_band_rule` in s = log z and v = log u.
 
-    The pole is xi = x e^2w, eta = y + 2 x u / lam.  theta depends on s
-    alone, so each rule calls theta_batch once, on its outer s nodes.  The
-    s panels cover [-w_half - v_hi, min(w_half - v_lo, 7)], capped at 7
-    where e^-z underflows; the v panels carry the payoff kink v_k as one
-    edge shared by every row.  The rows go in blocks cut to the band
-    |s + v| <= w_half, the truncation in w.
+    The pole is xi = x e^2w, eta = y + 2 x u / lam; the payoff kink at
+    eta = k is the v-edge log(lam*(k - y)/(2x)), shared by every row.
     """
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t
@@ -262,32 +251,14 @@ def _price_gamma_l(problem: CauchyProblem, point: EventPoint, lam: float,
         raise ValueError("price-family evaluation needs x > 0")
     t_yor = lam * dt / 2.0
     phi = problem.initial
-    w_half = 8.0 * math.sqrt(t_yor) + 3.0
-    v_lo, v_hi = -9.0, 13.0 * math.sqrt(t_yor) + 4.0
-    v_kinks = []
-    for k in spec.kink_lines:
-        u_k = lam * (k - y) / (2.0 * x)
-        if u_k > 0.0:
-            v_kinks.append(math.log(u_k))
+    u_kinks = [lam * (k - y) / (2.0 * x) for k in spec.kink_lines]
+    v_kinks = [math.log(u_k) for u_k in u_kinks if u_k > 0.0]
 
     def payoff(e2w, u):
         return phi(x * e2w, y + 2.0 * x * u / lam)
 
-    def integrate(order: int, width: float) -> tuple[float, float]:
-        return _yor_band_rule(
-            t_yor, w_half, _edges_with_kinks(v_lo, v_hi, width, v_kinks),
-            order, width, tol, payoff)
-
-    # the estimate's density term is the larger of the two rules' terms, so
-    # a coarse term that alone misses tol is refused before the fine rule
-    coarse, qerr = integrate(8, 0.5)
-    if qerr + tol / 10.0 > tol:
-        raise ToleranceNotMetError(
-            f"price {coarse:.6g} has error estimate at least "
-            f"{qerr + tol / 10.0:.3g}, above tol {tol:.3g}"
-        )
-    fine, qerr_fine = integrate(12, 0.34)
-    return fine, abs(fine - coarse) + max(qerr, qerr_fine) + tol / 10.0
+    return dual_rule(lambda order, width: _yor_band_rule(
+        t_yor, v_kinks, order, width, tol, payoff), 0.34, budget)
 
 
 def price(problem: CauchyProblem, point: EventPoint,
@@ -321,10 +292,12 @@ def price(problem: CauchyProblem, point: EventPoint,
         raise GrowthViolationError(
             f"payoff exceeds its growth bound (worst ratio {worst:.3g})"
         )
+    budget = tol - tol / 10.0       # what truncation's tol/10 leaves
     if geometric:
-        value, err = _price_gamma_k(problem, point, r, lam, tol)
+        value, err = _price_gamma_k(problem, point, r, lam, tol, budget)
     else:
-        value, err = _price_gamma_l(problem, point, lam, tol)
+        value, err = _price_gamma_l(problem, point, lam, tol, budget)
+    err += tol / 10.0
     if value < 0.0:             # clamp, and count the clamp in the estimate
         value, err = 0.0, err - value
     if err > tol:

@@ -86,27 +86,41 @@ def test_price_command_csv(tmp_path, capsys):
     assert abs(float(out.strip()) - 0.0848477) < 1e-4
 
 
-# arithmetic calls at tol 1e-5, rate 0 and sigma^2 T = 2: price and the
-# estimate of the tensor rule in (w, log u), which tabulated theta in log z
-ARITHMETIC_PINS = [
-    # (sigma, spot, strike, price, estimate)
-    (1.1, 1.0, 1.05, 0.8641755492340777, 1.046920101285972e-06),
-    (1.45, 0.9, 1.1, 0.7024050963160405, 1.042218365025174e-06),
-    (1.3, 1.1, 0.02, 1.8701100111898747, 1.0516934274228884e-06),
+# calls at tol 1e-5, rate 0 and sigma^2 T = 2.  Arithmetic: price and the
+# estimate of the tensor rule in (w, log u), which tabulated theta in log z,
+# held within 1e-9 and below the estimate.  Geometric: the rotated tensor
+# rule's printed price and estimate, held exactly.
+PRICE_PINS = [
+    # (sigma, spot, strike, price, estimate, kind)
+    (1.1, 1.0, 1.05, 0.8641755492340777, 1.046920101285972e-06,
+     "arithmetic"),
+    (1.45, 0.9, 1.1, 0.7024050963160405, 1.042218365025174e-06,
+     "arithmetic"),
+    (1.3, 1.1, 0.02, 1.8701100111898747, 1.0516934274228884e-06,
+     "arithmetic"),
+    (1.1, 1.0, 1.05, 0.20853626254395352, 1.000000000138778e-06,
+     "geometric"),
+    (1.45, 0.9, 1.1, 0.15331550910057698, 1.0000000000000002e-06,
+     "geometric"),
+    (1.3, 1.1, 0.02, 0.9111299232708329, 1.0000000002220448e-06,
+     "geometric"),
 ]
 
 
-@pytest.mark.parametrize("sigma,spot,strike,ref,ref_err", ARITHMETIC_PINS)
+@pytest.mark.parametrize("sigma,spot,strike,ref,ref_err,kind", PRICE_PINS)
 def test_price_arithmetic_pinned_values(sigma, spot, strike, ref, ref_err,
-                                        capsys):
+                                        kind, capsys):
     code, out, _ = run_cli(
-        ["price", "--kind", "arithmetic", "--sigma", repr(sigma),
+        ["price", "--kind", kind, "--sigma", repr(sigma),
          "--rate", "0", "--spot", repr(spot), "--strike", repr(strike),
          "--maturity", repr(2.0 / sigma**2), "--tol", "1e-5"], capsys)
     assert code == EXIT_OK
     _, value, err, _ = out.strip().splitlines()[-1].split(",")
-    assert abs(float(value) - ref) <= 1e-9
-    assert float(err) <= ref_err
+    if kind == "geometric":
+        assert (float(value), float(err)) == (ref, ref_err)
+    else:
+        assert abs(float(value) - ref) <= 1e-9
+        assert float(err) <= ref_err
 
 
 def test_price_idempotent_bodies(tmp_path, capsys):

@@ -154,8 +154,7 @@ def test_apply_operator_shape_mismatch():
 def test_constants_are_solutions():
     grid = make_grid()
     field = CoefficientField.constant(0.7)
-    sol = solve_cauchy(field, np.ones((grid.nx, grid.ny)), grid,
-                       store="final")
+    sol = solve_cauchy(field, np.ones((grid.nx, grid.ny)), grid)
     assert np.allclose(sol.final, 1.0, atol=1e-12)
 
 
@@ -169,7 +168,7 @@ def test_solution_matches_kernel_convolution():
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     s0 = 0.22
     initial = np.exp(-(X**2 + Y**2) / (2 * s0**2))
-    sol = solve_cauchy(field, initial, grid, store="final")
+    sol = solve_cauchy(field, initial, grid)
 
     xn, xw = panel_nodes(uniform_edges(-1.2, 1.2, 0.3), 8)
     XX = np.repeat(xn, xn.size)
@@ -196,7 +195,7 @@ def test_nonnegative_data_stay_nonnegative():
     rng = np.random.default_rng(1)
     for _ in range(5):
         init = np.maximum(rng.normal(size=(grid.nx, grid.ny)), 0.0)
-        sol = solve_cauchy(field, init, grid, store="final")
+        sol = solve_cauchy(field, init, grid)
         assert float(sol.final.min()) >= -1e-12
 
 
@@ -217,7 +216,7 @@ def test_max_principle_band():
     field = CoefficientField(a=1.0, b=0.0, r=0.3, lam=1.0, Lam=1.0)
     rng = np.random.default_rng(2)
     init = rng.uniform(0.5, 2.0, size=(grid.nx, grid.ny))
-    sol = solve_cauchy(field, init, grid, store="final")
+    sol = solve_cauchy(field, init, grid)
     dt = grid.t_range[1] - grid.t_range[0]
     assert float(sol.final.max()) <= init.max() * math.exp(0.0) + 1e-12
     assert float(sol.final.min()) >= init.min() * math.exp(-1.0 * dt) - 1e-9
@@ -234,7 +233,7 @@ def test_implicit_step_matches_apply_operator():
                              lam=0.5, Lam=1.5)
     X, _ = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     u0 = np.exp(-X**2)
-    u1 = solve_cauchy(field, u0, grid, store="final").final
+    u1 = solve_cauchy(field, u0, grid).final
     lhs = ((u1 - u0) / grid.dt)[1:-1, 1:-1]
     rhs = apply_operator(field, u1, grid, grid.ts[1])[1:-1, 1:-1]
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
@@ -253,8 +252,9 @@ def test_implicit_solve_keeps_columns_apart():
     t, dt = 0.05, 0.02
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     rhs = np.exp(-X**2) * (1.0 + Y + Y**2)
-    u = fd._implicit_solver(field, grid, t, dt)(rhs)
-    lower, diag, upper = fd._x_bands(field, grid, t)
+    bands = fd._x_bands(field, grid, t)
+    u = fd._implicit_solver(bands, grid, t, dt)(rhs)
+    lower, diag, upper = bands
     for j in range(grid.ny):
         D = (np.diag(diag[:, j]) + np.diag(lower[1:, j], -1)
              + np.diag(upper[:-1, j], 1))
@@ -266,16 +266,27 @@ def test_time_dependent_coefficients_rebuild_each_step():
     # r = t on constant data: each implicit step divides by 1 + dt * t_n
     grid = GridSpec(x_range=(-1.0, 1.0), y_range=(-1.0, 1.0),
                     t_range=(0.0, 1.0), nx=9, ny=9, nt=16)
-    ones = np.ones((grid.nx, grid.ny))
-    dt, ts = grid.dt, grid.ts[1:]
-    expected = {False: np.prod(1.0 / (1.0 + dt * ts)),
-                # the default freezes the coefficients at the first step
-                True: (1.0 + dt * ts[0]) ** -grid.nt}
-    for time_independent, value in expected.items():
-        field = CoefficientField(a=1.0, b=0.0, r=lambda x, y, t: t, lam=1.0,
-                                 Lam=1.0, time_independent=time_independent)
-        sol = solve_cauchy(field, ones, grid, store="final")
-        assert np.allclose(sol.final, value, rtol=1e-12, atol=0.0)
+    field = CoefficientField(a=1.0, b=0.0, r=lambda x, y, t: t, lam=1.0,
+                             Lam=1.0)
+    sol = solve_cauchy(field, np.ones((grid.nx, grid.ny)), grid)
+    expected = np.prod(1.0 / (1.0 + grid.dt * grid.ts[1:]))
+    assert np.allclose(sol.final, expected, rtol=1e-12, atol=0.0)
+
+
+def test_time_independent_field_factors_once(monkeypatch):
+    calls, solver = [], fd._implicit_solver
+
+    def counted(*args):
+        calls.append(args[2])
+        return solver(*args)
+
+    monkeypatch.setattr(fd, "_implicit_solver", counted)
+    grid = make_grid(nx=17, ny=17, nt=12)
+    field = CoefficientField(a=lambda x, y, t: 1.0 + 0.5 * np.sin(x),
+                             b=lambda x, y, t: 0.2 * np.cos(y), r=0.1,
+                             lam=0.5, Lam=1.5)
+    solve_cauchy(field, np.ones((grid.nx, grid.ny)), grid)
+    assert calls == [grid.ts[1]]
 
 
 def test_cfl_violation_raises():
@@ -379,12 +390,12 @@ def test_grid_io_roundtrip(tmp_path):
     grid = make_grid(nx=33, ny=17, nt=8)
     field = CoefficientField.constant(1.0)
     sol = solve_cauchy(field, np.random.default_rng(0).uniform(
-        size=(grid.nx, grid.ny)), grid, store="all")
+        size=(grid.nx, grid.ny)), grid)
     path = str(tmp_path / "out.grid")
     save_grid(sol, path)
     frames, info = load_grid(path)
-    assert frames.shape == sol.frames.shape
-    assert np.array_equal(frames, sol.frames)
+    assert frames.shape == (1, grid.nx, grid.ny)
+    assert np.array_equal(frames[0], sol.final)
     assert info["kind"] == "K" and info["endianness"] == "<"
     assert info["x_range"] == grid.x_range
     import json
@@ -392,6 +403,7 @@ def test_grid_io_roundtrip(tmp_path):
         meta = json.load(fh)
     assert meta["scheme"]["splitting"] == "lie"
     assert meta["nx"] == 33
+    assert meta["n_frames"] == 1 and meta["times"] == [grid.t_range[1]]
 
 
 def test_grid_io_rejects_garbage(tmp_path):

@@ -353,8 +353,7 @@ def test_price_representation_matches_fd():
                             t_range=(0.0, maturity), nx=129, ny=513,
                             nt=int(math.ceil(515 * maturity)))
             X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-            sol = solve_cauchy(field, prob.initial(X, Y), grid,
-                               store="final")
+            sol = solve_cauchy(field, prob.initial(X, Y), grid)
             i = np.argmin(np.abs(grid.xs))
             j = np.argmin(np.abs(grid.ys))
             fd_price = float(sol.final[i, j])

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from asianpde._quadrature import gauss_legendre, panel_nodes, uniform_edges
+from asianpde._quadrature import (dual_rule, gauss_legendre, panel_nodes,
+                                  uniform_edges)
 
 
 def reference_panel_nodes(edges, order):
@@ -28,3 +29,34 @@ def test_panel_nodes_one_dimensional_unchanged(edges, order):
     assert nodes.shape == weights.shape == ((len(edges) - 1) * order,)
     assert np.array_equal(nodes, ref_nodes)
     assert np.array_equal(weights, ref_weights)
+
+
+def recording_rule(results):
+    """A rule that returns the given (value, term) pairs in turn and records
+    each (order, width) it is called with."""
+    calls = []
+
+    def rule(order, width):
+        calls.append((order, width))
+        return results[len(calls) - 1]
+
+    return rule, calls
+
+
+@pytest.mark.parametrize("coarse,fine", [
+    ((1.0, 2e-7), (1.25, 5e-8)),
+    ((1.0, 5e-8), (0.75, 2e-7)),
+    ((0.5, 0.0), (0.5, 0.0)),
+])
+def test_dual_rule_runs_both_rules(coarse, fine):
+    rule, calls = recording_rule([coarse, fine])
+    value, est = dual_rule(rule, 0.3, 1e-6)
+    assert calls == [(8, 0.5), (12, 0.3)]
+    assert value == fine[0]
+    assert est == abs(fine[0] - coarse[0]) + max(coarse[1], fine[1])
+
+
+def test_dual_rule_stops_after_a_coarse_term_past_budget():
+    rule, calls = recording_rule([(0.44, 4.2e-4), (0.45, 0.0)])
+    assert dual_rule(rule, 0.34, 9e-6) == (0.44, 4.2e-4)
+    assert calls == [(8, 0.5)]
