@@ -248,18 +248,14 @@ def criterion_9_envelope_sandwich():
     target_slice = slices[16].final
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     T = 1.0
-    d = np.empty_like(X)
-    for i in range(X.shape[0]):
-        for j in range(X.shape[1]):
-            d[i, j] = dist(GeometryKind.K, EventPoint(X[i, j], Y[i, j], T),
-                           POLE8)
+    d = dist(GeometryKind.K, EventPoint(X, Y, T), POLE8)
     sel = (d >= 0.3) & (d <= 3.0) & (target_slice > 1e-12)
     xs, ys, vals = X[sel], Y[sel], target_slice[sel]
     lo_shape = gamma_k_array(0.25, xs, ys, T, POLE8.x, POLE8.y, POLE8.t)
     hi_shape = gamma_k_array(3.0, xs, ys, T, POLE8.x, POLE8.y, POLE8.t)
     n_pts = vals.size
     c_minus, c_plus = fit_multiplicative_constants(
-        vals[::2], lo_shape[::2], hi_shape[::2], slack=0.1)
+        vals[::2], lo_shape[::2], hi_shape[::2])
     viol_k = sandwich_violations(vals[1::2], c_minus * lo_shape[1::2],
                                  c_plus * hi_shape[1::2])
 
@@ -280,8 +276,7 @@ def criterion_9_envelope_sandwich():
         target_l[k] = v[0]
         lo_l[k], hi_l[k] = gamma_l_envelope(EventPoint(x, y, t), pole, eps)
     cl, cu = fit_multiplicative_constants(target_l[::2], lo_l[::2],
-                                          hi_l[::2], slack=0.1,
-                                          floor=1e-250)
+                                          hi_l[::2], floor=1e-250)
     mask = target_l[1::2] > 1e-250
     viol_l = sandwich_violations(target_l[1::2][mask],
                                  cl * lo_l[1::2][mask],
@@ -313,9 +308,8 @@ def criterion_10_dual_method_pricing():
     sigma_g = 0.4
     lam_g = 0.5 * sigma_g**2
     spec_g = PricingSpec(payoff=geometric_call_payoff(1.0, 1.0),
-                         kind=Averaging.GEOMETRIC, strike=1.0, maturity=1.0,
-                         sigma=sigma_g, rate=0.0,
-                         growth=GrowthBound(M=1.0, C=1.5, alpha=1.0),
+                         kind=Averaging.GEOMETRIC, sigma=sigma_g, rate=0.0,
+                         growth=GrowthBound(M=1.0, C=1.5),
                          kink_lines=(0.0,))
     prob_g = transform_geometric(spec_g)
     kp_g = price(prob_g, EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
@@ -329,9 +323,8 @@ def criterion_10_dual_method_pricing():
     # arithmetic-average call, sigma = sqrt(2), K = 1, T = 1
     sigma_a = math.sqrt(2.0)
     spec_a = PricingSpec(payoff=arithmetic_call_payoff(1.0, 1.0),
-                         kind=Averaging.ARITHMETIC, strike=1.0, maturity=1.0,
-                         sigma=sigma_a, rate=0.0,
-                         growth=GrowthBound(M=2.0, C=1.0, alpha=1.0),
+                         kind=Averaging.ARITHMETIC, sigma=sigma_a, rate=0.0,
+                         growth=GrowthBound(M=2.0, C=1.0),
                          kink_lines=(1.0,))
     prob_a = make_arithmetic_problem(spec_a)
     kp_a = price(prob_a, EventPoint(1.0, 0.0, 1.0), tol=1e-5).value
@@ -355,9 +348,9 @@ def criterion_12_initial_datum_attainment():
         rho = np.hypot(np.asarray(x, float), np.asarray(y, float))
         return 1.0 / (1.0 + np.maximum(rho - 1.0, 0.0) ** 2)
 
-    spec = PricingSpec(payoff=plateau, kind=Averaging.GEOMETRIC, strike=1.0,
-                       maturity=1.0, sigma=math.sqrt(2 * lam), rate=0.0,
-                       growth=GrowthBound(M=1.5, C=0.1, alpha=1.0))
+    spec = PricingSpec(payoff=plateau, kind=Averaging.GEOMETRIC,
+                       sigma=math.sqrt(2 * lam), rate=0.0,
+                       growth=GrowthBound(M=1.5, C=0.1))
     prob = CauchyProblem(spec=spec, initial=plateau)
     target = 1.0  # plateau value at the approach point (0, 0)
     worst = 0.0

@@ -56,13 +56,12 @@ def gamma_l_envelope(z: EventPoint, pole: EventPoint, epsilon: float
 def fit_multiplicative_constants(target: np.ndarray,
                                  lower_shape: np.ndarray,
                                  upper_shape: np.ndarray,
-                                 slack: float = 0.1,
                                  floor: float = 0.0
                                  ) -> tuple[float, float]:
     """Ratio-extrema fit of (c_minus, c_plus) on a training set.
 
     c_minus*lower_shape <= target and target <= c_plus*upper_shape hold with
-    a multiplicative margin `slack` on the training points; points where the
+    a multiplicative margin of 10% on the training points; points where the
     target is at or below `floor` (noise) are ignored.
     """
     target = np.asarray(target, float)
@@ -71,15 +70,14 @@ def fit_multiplicative_constants(target: np.ndarray,
     mask = (target > floor) & (lo > 0.0) & (hi > 0.0)
     if not np.any(mask):
         raise ValueError("no usable training points")
-    c_minus = (1.0 - slack) * float(np.min(target[mask] / lo[mask]))
-    c_plus = (1.0 + slack) * float(np.max(target[mask] / hi[mask]))
+    c_minus = 0.9 * float(np.min(target[mask] / lo[mask]))
+    c_plus = 1.1 * float(np.max(target[mask] / hi[mask]))
     return c_minus, c_plus
 
 
 def sandwich_violations(target: np.ndarray, lower: np.ndarray,
-                        upper: np.ndarray, tol: float = 0.0) -> int:
-    """Count of points escaping the envelope beyond tolerance."""
+                        upper: np.ndarray) -> int:
+    """Count of points escaping the envelope."""
     target = np.asarray(target, float)
-    bad = (target < np.asarray(lower) - tol) \
-        | (target > np.asarray(upper) + tol)
+    bad = (target < np.asarray(lower)) | (target > np.asarray(upper))
     return int(np.count_nonzero(bad))

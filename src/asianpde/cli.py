@@ -110,32 +110,28 @@ def _cmd_psi(args) -> int:
 
 def _cmd_price(args) -> int:
     sigma, rate, strike, T = args.sigma, args.rate, args.strike, args.maturity
-    lam = 0.5 * sigma * sigma
+    if not args.spot > 0.0:
+        raise ValueError(f"--spot must be positive, got {args.spot!r}")
     if args.kind == "geometric":
         spec = PricingSpec(payoff=geometric_call_payoff(strike, T),
-                           kind=Averaging.GEOMETRIC, strike=strike,
-                           maturity=T, sigma=sigma, rate=rate,
-                           growth=GrowthBound(M=1.0, C=1.5 / T, alpha=1.0),
+                           kind=Averaging.GEOMETRIC, sigma=sigma, rate=rate,
+                           growth=GrowthBound(M=1.0, C=1.5 / T),
                            kink_lines=(T * math.log(strike),))
         problem = transform_geometric(spec)
         point = EventPoint(math.log(args.spot), 0.0, T)
-        model = ModelSpec(mu=rate - lam, sigma=sigma, r=rate,
-                          averaging=Averaging.GEOMETRIC)
     else:
         spec = PricingSpec(payoff=arithmetic_call_payoff(strike, T),
-                           kind=Averaging.ARITHMETIC, strike=strike,
-                           maturity=T, sigma=sigma, rate=rate,
-                           growth=GrowthBound(M=2.0 + 2.0 / T,
-                                              C=1.0 / T, alpha=1.0),
+                           kind=Averaging.ARITHMETIC, sigma=sigma, rate=rate,
+                           growth=GrowthBound(M=2.0 + 2.0 / T, C=1.0 / T),
                            kink_lines=(T * strike,))
         problem = make_arithmetic_problem(spec)
         point = EventPoint(args.spot, 0.0, T)
-        model = ModelSpec(mu=0.0, sigma=sigma, r=0.0,
-                          averaging=Averaging.ARITHMETIC)
     if args.method == "kernel":
         res = price(problem, point, tol=args.tol)
         est, err = res.value, res.abs_error_estimate
     else:
+        model = ModelSpec(mu=rate - 0.5 * sigma * sigma, sigma=sigma, r=rate,
+                          averaging=spec.kind)
         cfg = McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed)
         est, err = mc_price(model, spec.payoff, (args.spot, 0.0, 0.0), T, cfg)
     spec_hash = f"{args.kind}:{sigma}:{rate}:{strike}:{T}:{args.spot}"

@@ -88,8 +88,9 @@ def g(r: float) -> float:
     return math.sin(m) / m
 
 
-def g_inverse(s: float, tol: float = 1e-12) -> float:
-    """Solve g(r) = s for r in (-pi^2, inf) by bracketed root find.
+def g_inverse(s: float) -> float:
+    """Solve g(r) = s for r in (-pi^2, inf) by bracketed root find, to an
+    absolute tolerance of 1e-12 in r.
 
     The bracket is grown geometrically on the right and shrunk geometrically
     toward -pi^2 on the left; s -> 0+ maps to r -> -pi^2 without overflow.
@@ -116,13 +117,12 @@ def g_inverse(s: float, tol: float = 1e-12) -> float:
             if delta < 1e-300:
                 raise ValueError(f"g_inverse argument too small: {s}")
         lo = -PI_SQ + delta
-    return brentq(lambda rr: g(rr) - s, lo, hi, xtol=tol, rtol=1e-15,
+    return brentq(lambda rr: g(rr) - s, lo, hi, xtol=1e-12, rtol=1e-15,
                   maxiter=200)
 
 
 def _two_branch_cost(
     x1: float, y1: float, t1: float, x0: float, y0: float, t0: float,
-    tol: float = 1e-12,
 ) -> PsiValue:
     T = t1 - t0
     dy = y0 - y1
@@ -131,7 +131,7 @@ def _two_branch_cost(
     s = dy / (T * math.sqrt(x1 * x0))
     if s <= 0.0:
         raise InfeasibleError("inverse-g argument must be positive")
-    r = g_inverse(s, tol=tol)
+    r = g_inverse(s)
     E = 4.0 * r / (T * T)
     radicand = E + 4.0 * x1 * x0 / (dy * dy)
     if radicand < 0.0:
@@ -202,7 +202,6 @@ def psi_bruteforce(
     endpoints: ControlEndpoints,
     n_steps: int = 32,
     iterations: int = 200,
-    residual_tol: float = 1e-6,
 ) -> float:
     """Upper-bounding oracle: minimize energy over piecewise-constant controls.
 
@@ -212,10 +211,11 @@ def psi_bruteforce(
     the true minimum from above as n_steps grows.  Terminal constraints are
     enforced by SLSQP and then projected out exactly through the last two
     intervals; raises NonConvergenceError if the projected residual exceeds
-    residual_tol.
+    1e-6 from every start (the y residual over max(1, y0 - y1)).
     """
     from scipy.optimize import minimize
 
+    residual_tol = 1e-6
     if n_steps < 8:
         raise ValueError("need n_steps >= 8")
     x1, y1 = endpoints.start.x, endpoints.start.y

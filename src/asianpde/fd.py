@@ -12,6 +12,10 @@ operator is solved in w = log x, where x*d/dx becomes d/dw and the
 transport speed becomes e^w; the degenerate x -> 0 edge maps to w -> -inf
 and is truncated with outflow conditions.
 
+Variable log-price coefficients reach the fundamental solution through
+`mollify`, the paper's limiting procedure: the chi_n cut-off outside the
+ball of radius n.  The price family has no mollifier.
+
 Grid functions serialize as flat binary arrays with a short header plus a
 JSON sidecar.
 """
@@ -26,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
 from .geometry import EventPoint, GeometryKind
 
 __all__ = [
@@ -98,13 +101,13 @@ class CoefficientField:
                 object.__setattr__(self, name, _const_fn(fn))
 
     @classmethod
-    def constant(cls, lam: float, kind: GeometryKind = GeometryKind.K,
-                 Lam: float | None = None) -> "CoefficientField":
-        return cls(a=lam, b=0.0, r=0.0, lam=lam,
-                   Lam=Lam if Lam is not None else max(lam, 1.0), kind=kind)
+    def constant(cls, lam: float, kind: GeometryKind = GeometryKind.K
+                 ) -> "CoefficientField":
+        return cls(a=lam, b=0.0, r=0.0, lam=lam, Lam=max(lam, 1.0),
+                   kind=kind)
 
-    def check_bounds(self, xs: np.ndarray, ys: np.ndarray, t: float,
-                     slack: float = 1e-10) -> None:
+    def check_bounds(self, xs: np.ndarray, ys: np.ndarray, t: float) -> None:
+        slack = 1e-10
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         av = np.asarray(self.a(X, Y, t), dtype=float)
         if np.any(av < self.lam - slack) or np.any(av > self.Lam + slack):
@@ -186,11 +189,13 @@ class GridSpec:
 
 class MollifierMode(Enum):
     CUTOFF_CHI = "cutoff_chi"
-    SMOOTH_RHO = "smooth_rho"
 
 
 @dataclass(frozen=True)
 class MollifierSpec:
+    """Index n of the cut-off chi_n.  `mode` names the one mollifier and is
+    not read; it stays because the benchmark passes it."""
+
     n: int
     mode: MollifierMode
 
@@ -214,75 +219,35 @@ def _chi_n(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _smoothstep(((n + 1.0) ** 2 - rho2) / ((n + 1.0) ** 2 - n**2))
 
 
-def _bump_nodes(order: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    # 1D C0-infinity bump on [-s, s] with s = 1/(2*sqrt(3)); the tensor cube
-    # then fits inside the ball of radius 1/2. Discrete weights renormalized
-    # so the quadrature is an exact convex combination.
-    s = 1.0 / (2.0 * math.sqrt(3.0))
-    xg, wg = gauss_legendre(order)
-    nodes = s * xg
-    vals = np.exp(-1.0 / np.maximum(1.0 - (nodes / s) ** 2, 1e-300))
-    weights = wg * s * vals
-    return nodes, weights / weights.sum()
-
-
 def mollify(field: CoefficientField, spec: MollifierSpec,
-            check_grid: GridSpec | None = None) -> CoefficientField:
-    """Regularized coefficient field.
-
-    CUTOFF_CHI blends a toward the ellipticity floor lam and kills b, r
-    outside the ball of radius n (transition finished by n+1).  SMOOTH_RHO
-    convolves with a compactly supported bump, anisotropically scaled by x
-    in the first slot so the price domain x > 0 is preserved; quadrature is
-    a tensor Gauss rule with renormalized weights (an exact convex
-    combination, so the (lam, Lam) band is preserved exactly).
+            check_grid: GridSpec) -> CoefficientField:
+    """Log-price field cut off by chi_n: a blends toward the ellipticity
+    floor lam and b, r die outside the ball of radius n (transition finished
+    by n+1).  The kernels of the cut-off fields are the paper's limiting
+    sequence as n grows.  The result must keep the (lam, Lam) band on
+    check_grid at its first time, else BoundViolationError.  A price-family
+    field raises ValueError: no criterion takes that limit.
     """
-    expected = (MollifierMode.CUTOFF_CHI if field.kind is GeometryKind.K
-                else MollifierMode.SMOOTH_RHO)
-    if spec.mode is not expected:
-        raise ValueError(
-            f"mollifier mode {spec.mode.value} does not match field kind "
-            f"{field.kind.value}"
-        )
+    if field.kind is not GeometryKind.K:
+        raise ValueError(f"mollify cuts off log-price fields only, got "
+                         f"kind {field.kind.value}")
     n = spec.n
-    if spec.mode is MollifierMode.CUTOFF_CHI:
-        a0, b0, r0, lam = field.a, field.b, field.r, field.lam
+    a0, b0, r0, lam = field.a, field.b, field.r, field.lam
 
-        def a_n(x, y, t):
-            chi = _chi_n(n, x, y)
-            return chi * a0(x, y, t) + (1.0 - chi) * lam
+    def a_n(x, y, t):
+        chi = _chi_n(n, x, y)
+        return chi * a0(x, y, t) + (1.0 - chi) * lam
 
-        def b_n(x, y, t):
-            return _chi_n(n, x, y) * b0(x, y, t)
+    def b_n(x, y, t):
+        return _chi_n(n, x, y) * b0(x, y, t)
 
-        def r_n(x, y, t):
-            return _chi_n(n, x, y) * r0(x, y, t)
+    def r_n(x, y, t):
+        return _chi_n(n, x, y) * r0(x, y, t)
 
-        out = CoefficientField(a=a_n, b=b_n, r=r_n, lam=field.lam,
-                               Lam=field.Lam, kind=field.kind)
-    else:
-        nodes, weights = _bump_nodes()
-
-        def convolve(fn):
-            def fn_n(x, y, t):
-                x = np.asarray(x, dtype=float)
-                y = np.asarray(y, dtype=float)
-                acc = 0.0
-                for xi, wx in zip(nodes, weights):
-                    for et, wy in zip(nodes, weights):
-                        for ta, wt in zip(nodes, weights):
-                            acc = acc + (wx * wy * wt) * fn(
-                                x - x * xi / n, y - et / n, t - ta / n
-                            )
-                return acc
-            return fn_n
-
-        out = CoefficientField(a=convolve(field.a), b=convolve(field.b),
-                               r=convolve(field.r), lam=field.lam,
-                               Lam=field.Lam, kind=field.kind)
-    if check_grid is not None:
-        out.check_bounds(check_grid.physical_x(check_grid.xs), check_grid.ys,
-                         check_grid.t_range[0])
+    out = CoefficientField(a=a_n, b=b_n, r=r_n, lam=field.lam,
+                           Lam=field.Lam, kind=field.kind)
+    out.check_bounds(check_grid.physical_x(check_grid.xs), check_grid.ys,
+                     check_grid.t_range[0])
     return out
 
 

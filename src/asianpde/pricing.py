@@ -35,7 +35,6 @@ __all__ = [
     "PricingSpec",
     "CauchyProblem",
     "GrowthViolationError",
-    "MaturityLimitError",
     "ToleranceNotMetError",
     "transform_geometric",
     "make_arithmetic_problem",
@@ -50,26 +49,21 @@ class GrowthViolationError(ValueError):
     """Payoff exceeds its declared growth bound on the test lattice."""
 
 
-class MaturityLimitError(ValueError):
-    """Quadratic-exponent payoffs only admit a short maturity."""
-
-
 class ToleranceNotMetError(RuntimeError):
     """The price's error estimate exceeds the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class GrowthBound:
-    """|payoff| <= M * exp(C * |(x, y)|^alpha); alpha < 2 for the log-price
-    family, linear growth (alpha = 1) for the price family."""
+    """|payoff| <= M * exp(C * |(x, y)|): the exponential growth under which
+    the representation formula solves the Cauchy problem."""
 
     M: float
     C: float
-    alpha: float
 
     def envelope(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         norm = np.hypot(np.asarray(x, float), np.asarray(y, float))
-        return self.M * np.exp(self.C * norm**self.alpha)
+        return self.M * np.exp(self.C * norm)
 
 
 @dataclass(frozen=True)
@@ -79,23 +73,22 @@ class PricingSpec:
     For kind=GEOMETRIC the payoff takes (S, A) with A the integrated log
     price; for ARITHMETIC it takes (S, A) with A the integrated price.
     sigma and rate are the constant volatility and interest rate, the only
-    copy of them that pricing reads.  kink_lines lists y-values where the
-    transformed payoff has kinks so the quadrature can split panels there.
+    copy of them that pricing reads; the time to maturity is the evaluation
+    point's t.  kink_lines lists y-values where the transformed payoff has
+    kinks so the quadrature can split panels there.
     """
 
     payoff: Callable
     kind: Averaging
-    strike: float
-    maturity: float
     sigma: float
     rate: float = 0.0
     growth: GrowthBound = dc_field(
-        default_factory=lambda: GrowthBound(M=1.0, C=1.0, alpha=1.0))
+        default_factory=lambda: GrowthBound(M=1.0, C=1.0))
     kink_lines: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strike <= 0.0 or self.maturity <= 0.0 or self.sigma <= 0.0:
-            raise ValueError("strike, maturity, sigma must be positive")
+        if self.sigma <= 0.0:
+            raise ValueError("sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,8 +97,16 @@ class CauchyProblem:
     initial: Callable            # transformed payoff on the state plane
 
 
+def _check_call(strike: float, maturity: float) -> None:
+    if not (strike > 0.0 and maturity > 0.0):
+        raise ValueError(f"strike and maturity must be positive, got "
+                         f"{strike!r} and {maturity!r}")
+
+
 def geometric_call_payoff(strike: float, maturity: float) -> Callable:
     """Call on the exponential of the averaged log price."""
+    _check_call(strike, maturity)
+
     def phi(s, a):
         return np.maximum(np.exp(np.asarray(a) / maturity) - strike, 0.0)
     return phi
@@ -113,6 +114,8 @@ def geometric_call_payoff(strike: float, maturity: float) -> Callable:
 
 def arithmetic_call_payoff(strike: float, maturity: float) -> Callable:
     """Call on the time average of the price."""
+    _check_call(strike, maturity)
+
     def phi(s, a):
         return np.maximum(np.asarray(a) / maturity - strike, 0.0)
     return phi
@@ -148,7 +151,7 @@ def make_arithmetic_problem(spec: PricingSpec) -> CauchyProblem:
 
 def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
                  transformed: Callable) -> tuple[bool, float]:
-    """Validate |transformed| <= M exp(C |.|^alpha), the spec's growth
+    """Validate |transformed| <= M exp(C |.|), the spec's growth
     bound, on the lattice; `transformed` is the problem's initial datum
     (phi~ for the log-price family).  Returns (ok, worst ratio)."""
     xs, ys = lattice
@@ -165,13 +168,13 @@ def growth_check(spec: PricingSpec, lattice: tuple[np.ndarray, np.ndarray],
 def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
                        tol: float) -> float:
     # smallest L with
-    #   exp(-L^2) * M * exp(C*(offset + slope*L)^alpha) * (2L)^2 < tol/10
+    #   exp(-L^2) * M * exp(C*(offset + slope*L)) * (2L)^2 < tol/10
     # evaluated in log space; offset/slope bound the payoff argument norm
     # over the standardized integration square
     L = 3.0
     for _ in range(200):
         log_tail = (-L * L + math.log(growth.M)
-                    + growth.C * (offset + slope * L) ** growth.alpha
+                    + growth.C * (offset + slope * L)
                     + 2.0 * math.log(2.0 * L))
         if log_tail < math.log(tol / 10.0):
             return L
@@ -201,19 +204,11 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
     y = y + (lam - r) * dt**2 / 2.0
     discount = math.exp(-r * dt)
 
-    growth = spec.growth
-    if growth.alpha >= 2.0:
-        limit = 1.0 / (8.0 * growth.C * lam)
-        if dt > limit:
-            raise MaturityLimitError(
-                f"alpha=2 growth admits maturities up to {limit:.6g}, "
-                f"got {dt:.6g}"
-            )
     sx = 2.0 * math.sqrt(lam * dt)            # xi = x - sx * xbar
     sy = math.sqrt(lam * dt**3 / 3.0)         # eta offset per unit ybar
     offset = abs(x) + abs(y) + dt * abs(x) + 1.0
     slope = math.hypot(sx, sy) * (1.0 + dt)
-    L = _truncation_radius(growth, offset, slope, tol)
+    L = _truncation_radius(spec.growth, offset, slope, tol)
 
     c, n = y + dt * x, math.hypot(dt * sx / 2.0, sy)
     rho_kinks = (c - np.asarray(spec.kink_lines, float)) / n
@@ -270,15 +265,16 @@ def price(problem: CauchyProblem, point: EventPoint,
     Its diffusion constant lambda = sigma^2/2 and the rate r come from
     spec.sigma and spec.rate; a rate on the price family, which has no
     discounting here, raises ValueError.  The payoff must satisfy the spec's
-    growth bound (checked on a lattice scaled to the truncation box);
-    alpha=2 growth refuses maturities beyond 1/(8*C*lambda).  A result
-    whose error estimate exceeds tol raises ToleranceNotMetError.
+    growth bound (checked on a lattice).  A tol <= 0 raises ValueError; a
+    result whose error estimate exceeds tol raises ToleranceNotMetError.
     """
     spec = problem.spec
     r, lam = spec.rate, 0.5 * spec.sigma * spec.sigma
     KernelParams(lam)  # refuses lambda <= 0
     if point.t <= 0.0:
         raise ValueError(f"evaluation time must be positive, got {point.t}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     geometric = spec.kind is Averaging.GEOMETRIC
     if not geometric and r != 0.0:
         raise ValueError("the price-family kernel prices only r = 0")

@@ -38,7 +38,7 @@ def test_gamma_k_sandwich_fit_validate():
     hi_shape = gamma_k_array(2.0, pts[:, 0], pts[:, 1], pts[:, 2],
                              0.0, 0.0, 0.0)
     c_minus, c_plus = fit_multiplicative_constants(
-        target[::2], lo_shape[::2], hi_shape[::2], slack=0.1)
+        target[::2], lo_shape[::2], hi_shape[::2])
     lo = c_minus * lo_shape[1::2]
     hi = c_plus * hi_shape[1::2]
     assert sandwich_violations(target[1::2], lo, hi) == 0
@@ -80,8 +80,7 @@ def test_gamma_l_envelope_fit_validate():
         lo_shape[k], hi_shape[k] = gamma_l_envelope(
             EventPoint(x, y, t), pole, eps)
     c_minus, c_plus = fit_multiplicative_constants(
-        target[::2], lo_shape[::2], hi_shape[::2], slack=0.1,
-        floor=1e-250)
+        target[::2], lo_shape[::2], hi_shape[::2], floor=1e-250)
     mask = target[1::2] > 1e-250
     lo = c_minus * lo_shape[1::2][mask]
     hi = c_plus * hi_shape[1::2][mask]

@@ -132,6 +132,17 @@ def test_price_idempotent_bodies(tmp_path, capsys):
     assert body(open(p1).read()) == body(open(p2).read())
 
 
+def test_price_arithmetic_mc_honours_the_rate(capsys):
+    # Linetsky (2004) case r = 0.05, sigma = 0.5, T = 1, S0 = K = 2
+    code, out, _ = run_cli(
+        ["price", "--kind", "arithmetic", "--method", "mc", "--rate", "0.05",
+         "--sigma", "0.5", "--spot", "2", "--strike", "2", "--paths",
+         "20000", "--steps", "64", "--seed", "2"], capsys)
+    assert code == EXIT_OK
+    _, value, se, _ = out.strip().splitlines()[-1].split(",")
+    assert abs(float(value) - 0.2464156905) <= 4.0 * float(se)
+
+
 def test_mc_command(tmp_path, capsys):
     out_path = str(tmp_path / "mc.csv")
     code, _, _ = run_cli(["mc", "--sigma", "1.0", "--mu", "-0.5",
@@ -279,6 +290,17 @@ def test_python_m_runs_cli(module, capsys):
     # the price-family kernel has no discounting, so it refuses a rate
     (["price", "--kind", "arithmetic", "--sigma", "1.4142135623730951",
       "--rate", "0.05"], "r = 0"),
+    # out-of-range contract inputs are refused before any arithmetic on them
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--maturity", "0"],
+     "maturity must be positive"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--strike", "0"],
+     "maturity must be positive"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--spot", "0"],
+     "--spot must be positive"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--tol", "0"],
+     "tol must be positive"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--tol", "-1"],
+     "tol must be positive"),
     # the price family needs a positive pole price
     (["fd-solve", "--kind", "l", "--pole", "0,0,0", "--out", "l.grid"],
      "pole needs x > 0"),
@@ -295,7 +317,9 @@ def test_python_m_runs_cli(module, capsys):
     (["fd-solve", "--xrange", "1,-1", "--out", "k.grid"], "x range"),
     (["fd-solve", "--xrange", "nan,1", "--out", "k.grid"], "x range"),
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
-        "price-missed-tol", "price-arithmetic-rate",
+        "price-missed-tol", "price-arithmetic-rate", "price-zero-maturity",
+        "price-zero-strike", "price-zero-spot", "price-zero-tol",
+        "price-negative-tol",
         "fd-solve-l-default-pole", "fd-solve-short-trange",
         "fd-solve-short-yrange", "fd-solve-long-trange",
         "fd-solve-infinite-lambda", "fd-solve-huge-lambda",

@@ -26,20 +26,11 @@ def make_grid(**kw):
 
 def test_mollify_constant_field_cutoff():
     field = CoefficientField(a=0.8, b=0.3, r=0.1, lam=0.8, Lam=1.0)
-    out = mollify(field, MollifierSpec(n=4, mode=MollifierMode.CUTOFF_CHI))
+    out = mollify(field, MollifierSpec(n=4, mode=MollifierMode.CUTOFF_CHI),
+                  check_grid=make_grid())
     xs = np.linspace(-3, 3, 11)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     assert np.allclose(out.a(X, Y, 0.0), 0.8)  # inside the cutoff ball
-
-
-def test_mollify_constant_field_smooth():
-    field = CoefficientField(a=0.8, b=0.3, r=0.0, lam=0.8, Lam=1.0,
-                             kind=GeometryKind.L)
-    out = mollify(field, MollifierSpec(n=3, mode=MollifierMode.SMOOTH_RHO))
-    xs = np.linspace(0.5, 3, 7)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    assert np.allclose(out.a(X, Y, 0.0), 0.8, atol=1e-13)
-    assert np.allclose(out.b(X, Y, 0.0), 0.3, atol=1e-13)
 
 
 def test_mollify_cutoff_outside_ball():
@@ -50,7 +41,8 @@ def test_mollify_cutoff_outside_ball():
 
     field = CoefficientField(a=a_fn, b=0.4, r=0.2, lam=lam, Lam=Lam)
     n = 4
-    out = mollify(field, MollifierSpec(n=n, mode=MollifierMode.CUTOFF_CHI))
+    out = mollify(field, MollifierSpec(n=n, mode=MollifierMode.CUTOFF_CHI),
+                  check_grid=make_grid())
     # points with x^2 + y^2 >= (n+1)^2 must see (lam, 0, 0)
     pts = [(5.0, 1.0), (0.0, 6.0), (-4.0, -4.0)]
     for x, y in pts:
@@ -63,32 +55,13 @@ def test_mollify_cutoff_outside_ball():
         float(a_fn(1.0, 1.0, 0.0)), rel=1e-12)
 
 
-def test_mollify_smooth_rho_step_field():
-    lam, Lam = 0.5, 1.5
-
-    def a_fn(x, y, t):
-        return lam + (Lam - lam) * (np.asarray(y) > 0.0)
-
-    field = CoefficientField(a=a_fn, b=0.0, r=0.0, lam=lam, Lam=Lam,
-                             kind=GeometryKind.L)
-    n = 4
-    out = mollify(field, MollifierSpec(n=n, mode=MollifierMode.SMOOTH_RHO))
-    ys = np.linspace(-0.5, 0.5, 201)
-    vals = np.array([float(out.a(np.array(1.0), np.array(y), 0.0))
-                     for y in ys])
-    assert np.all(vals >= lam - 1e-12) and np.all(vals <= Lam + 1e-12)
-    # the jump spreads over the bump support 1/(2*sqrt(3)*n): neighbouring
-    # samples move by a bounded fraction instead of the raw unit jump
-    assert float(np.max(np.abs(np.diff(vals)))) < (Lam - lam) * 0.3
-    # and the values sit strictly between the bounds near the step
-    mid = vals[np.abs(ys) < 0.4 / (2.0 * math.sqrt(3.0) * n)]
-    assert np.all(mid > lam + 1e-6) and np.all(mid < Lam - 1e-6)
-
-
 def test_mollify_mode_mismatch():
-    field = CoefficientField.constant(1.0, kind=GeometryKind.K)
-    with pytest.raises(ValueError):
-        mollify(field, MollifierSpec(n=2, mode=MollifierMode.SMOOTH_RHO))
+    # the chi_n cut-off is the log-price family's limit; a price-family
+    # field is refused
+    field = CoefficientField.constant(1.0, kind=GeometryKind.L)
+    with pytest.raises(ValueError, match="log-price fields only"):
+        mollify(field, MollifierSpec(n=2, mode=MollifierMode.CUTOFF_CHI),
+                check_grid=make_grid())
 
 
 def test_mollify_bound_violation_detected():

@@ -344,9 +344,8 @@ def _call_spec():
     # sigma = 1.1 and Yor time sigma^2 T / 4 = 0.5
     T = 2.0 / 1.21
     return T, PricingSpec(payoff=arithmetic_call_payoff(1.0, T),
-                          kind=Averaging.ARITHMETIC, strike=1.0, maturity=T,
-                          sigma=1.1, growth=GrowthBound(M=2.0 + 2.0 / T,
-                                                        C=1.0 / T, alpha=1.0),
+                          kind=Averaging.ARITHMETIC, sigma=1.1,
+                          growth=GrowthBound(M=2.0 + 2.0 / T, C=1.0 / T),
                           kink_lines=(T,))
 
 

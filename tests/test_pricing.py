@@ -13,8 +13,8 @@ from asianpde.geometry import EventPoint
 from asianpde.kernels import theta_batch
 from asianpde.mc import Averaging, McConfig, ModelSpec, mc_price
 from asianpde.pricing import (CauchyProblem, GrowthBound,
-                              GrowthViolationError, MaturityLimitError,
-                              PricingSpec, ToleranceNotMetError,
+                              GrowthViolationError, PricingSpec,
+                              ToleranceNotMetError,
                               arithmetic_call_payoff, geometric_call_payoff,
                               growth_check, make_arithmetic_problem, price,
                               transform_geometric)
@@ -28,9 +28,8 @@ def geometric_spec(strike=1.0, maturity=1.0, sigma=0.4, rate=0.0,
                    payoff=None, growth=None, kinks=None):
     return PricingSpec(
         payoff=payoff or geometric_call_payoff(strike, maturity),
-        kind=Averaging.GEOMETRIC, strike=strike, maturity=maturity,
-        sigma=sigma, rate=rate,
-        growth=growth or GrowthBound(M=1.0, C=1.5 / maturity, alpha=1.0),
+        kind=Averaging.GEOMETRIC, sigma=sigma, rate=rate,
+        growth=growth or GrowthBound(M=1.0, C=1.5 / maturity),
         kink_lines=(maturity * math.log(strike),) if kinks is None else kinks)
 
 
@@ -49,7 +48,7 @@ def lognormal_geometric_call(sigma, rate, strike, maturity):
 
 def test_transform_unit_payoff():
     spec = geometric_spec(payoff=unit_payoff,
-                          growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
+                          growth=GrowthBound(M=1.5, C=0.1),
                           kinks=())
     prob = transform_geometric(spec)
     xs = np.linspace(-3, 3, 7)
@@ -66,17 +65,27 @@ def test_transform_call_payoff_substitution():
 
 def test_transform_requires_geometric_kind():
     spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, 1.0),
-                       kind=Averaging.ARITHMETIC, strike=1.0, maturity=1.0,
-                       sigma=1.0)
+                       kind=Averaging.ARITHMETIC, sigma=1.0)
     with pytest.raises(ValueError):
         transform_geometric(spec)
+
+
+@pytest.mark.parametrize("make", [geometric_call_payoff,
+                                  arithmetic_call_payoff])
+@pytest.mark.parametrize("strike,maturity", [(0.0, 1.0), (-1.0, 1.0),
+                                             (1.0, 0.0), (1.0, -0.5)])
+def test_call_payoff_refuses_nonpositive_strike_or_maturity(make, strike,
+                                                            maturity):
+    with pytest.raises(ValueError, match="strike and maturity must be "
+                                         "positive"):
+        make(strike, maturity)
 
 
 # -- growth check -----------------------------------------------------------------
 
 def test_growth_check_bounded_payoff():
     spec = geometric_spec(payoff=unit_payoff,
-                          growth=GrowthBound(M=2.0, C=0.5, alpha=1.0),
+                          growth=GrowthBound(M=2.0, C=0.5),
                           kinks=())
     lat = np.meshgrid(np.linspace(-5, 5, 21), np.linspace(-5, 5, 21))
     ok, worst = growth_check(spec, (lat[0], lat[1]),
@@ -87,7 +96,7 @@ def test_growth_check_bounded_payoff():
 def test_growth_check_quadratic_exponent_fails():
     bad = lambda x, y: np.exp(np.asarray(x, float)**2)
     spec = geometric_spec(payoff=bad,
-                          growth=GrowthBound(M=1.0, C=2.0, alpha=1.0),
+                          growth=GrowthBound(M=1.0, C=2.0),
                           kinks=())
     lat = np.meshgrid(np.linspace(-8, 8, 33), np.linspace(-8, 8, 33))
     ok, worst = growth_check(spec, (lat[0], lat[1]), transformed=bad)
@@ -97,7 +106,7 @@ def test_growth_check_quadratic_exponent_fails():
 def test_growth_check_linear_payoff():
     lin = lambda x, y: np.maximum(np.asarray(y, float) - 1.0, 0.0)
     spec = geometric_spec(payoff=lin,
-                          growth=GrowthBound(M=1.0, C=1.0, alpha=1.0),
+                          growth=GrowthBound(M=1.0, C=1.0),
                           kinks=())
     lat = np.meshgrid(np.linspace(-20, 20, 41), np.linspace(-20, 20, 41))
     ok, _ = growth_check(spec, (lat[0], lat[1]), transformed=lin)
@@ -108,7 +117,7 @@ def test_growth_check_linear_payoff():
 
 def test_price_unit_payoff_is_one():
     spec = geometric_spec(payoff=unit_payoff,
-                          growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
+                          growth=GrowthBound(M=1.5, C=0.1),
                           kinks=())
     prob = transform_geometric(spec)
     res = price(prob, EventPoint(0.0, 0.0, 1.0), tol=1e-8)
@@ -137,7 +146,7 @@ def test_price_linearity_in_payoff():
         return (2.0 * geometric_call_payoff(1.0, 1.0)(s, a)
                 + 3.0 * geometric_call_payoff(1.2, 1.0)(s, a))
 
-    spec3 = geometric_spec(payoff=combo, growth=GrowthBound(5.0, 1.5, 1.0),
+    spec3 = geometric_spec(payoff=combo, growth=GrowthBound(5.0, 1.5),
                            kinks=(0.0, math.log(1.2)))
     p3 = price(transform_geometric(spec3),
                EventPoint(0.0, 0.0, 1.0), tol=1e-8).value
@@ -205,7 +214,7 @@ def test_price_two_kinks_outside_the_box(sigma, maturity, rule_edges):
     def priced(kinks):
         rule_edges.clear()
         spec = geometric_spec(payoff=combo, sigma=sigma, maturity=maturity,
-                              growth=GrowthBound(5.0, 1.5 / maturity, 1.0),
+                              growth=GrowthBound(5.0, 1.5 / maturity),
                               kinks=kinks)
         res = price(transform_geometric(spec),
                     EventPoint(0.0, 0.0, maturity), tol=1e-8)
@@ -233,7 +242,7 @@ def test_price_payoff_of_spot_and_average(sigma, rate, maturity, spot):
     def phi(s, a):
         return np.asarray(s) * np.exp(np.asarray(a) / maturity)
 
-    growth = GrowthBound(1.0, math.sqrt(2.0) * max(1.0, 1.0 / maturity), 1.0)
+    growth = GrowthBound(1.0, math.sqrt(2.0) * max(1.0, 1.0 / maturity))
     spec = geometric_spec(payoff=phi, sigma=sigma, rate=rate,
                           maturity=maturity, growth=growth, kinks=())
     res = price(transform_geometric(spec),
@@ -262,24 +271,11 @@ def test_price_geometric_memory_peak():
 def test_price_growth_violation_raises():
     bad = lambda s, a: np.exp(np.log(np.maximum(s, 1e-300))**2)
     spec = geometric_spec(payoff=bad,
-                          growth=GrowthBound(M=1.0, C=0.5, alpha=1.0),
+                          growth=GrowthBound(M=1.0, C=0.5),
                           kinks=())
     prob = transform_geometric(spec)
     with pytest.raises(GrowthViolationError):
         price(prob, EventPoint(0.0, 0.0, 1.0))
-
-
-def test_price_alpha_two_maturity_refusal():
-    spec = geometric_spec(payoff=unit_payoff,
-                          growth=GrowthBound(M=2.0, C=1.0, alpha=2.0),
-                          kinks=())
-    prob = transform_geometric(spec)
-    lam = 0.08
-    limit = 1.0 / (8.0 * 1.0 * lam)
-    with pytest.raises(MaturityLimitError):
-        price(prob, EventPoint(0.0, 0.0, limit * 1.5))
-    ok = price(prob, EventPoint(0.0, 0.0, limit * 0.5))
-    assert ok.value == pytest.approx(1.0, abs=1e-5)
 
 
 @pytest.fixture
@@ -297,8 +293,7 @@ def theta_calls(monkeypatch):
 
 def test_price_arithmetic_unit_payoff(theta_calls):
     spec = PricingSpec(payoff=unit_payoff, kind=Averaging.ARITHMETIC,
-                       strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
-                       growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
+                       sigma=math.sqrt(2.0), growth=GrowthBound(M=1.5, C=0.5))
     prob = make_arithmetic_problem(spec)
     res = price(prob, EventPoint(1.0, 0.0, 1.0), tol=1e-5)
     assert res.value == pytest.approx(1.0, abs=1e-4)
@@ -309,8 +304,8 @@ def test_price_family_refuses_after_the_coarse_rule(theta_calls):
     # sigma = 1, T = 1 call: the coarse rule's density term alone exceeds
     # tol, so the fine rule never runs
     spec = PricingSpec(payoff=arithmetic_call_payoff(1.0, 1.0),
-                       kind=Averaging.ARITHMETIC, strike=1.0, maturity=1.0,
-                       sigma=1.0, growth=GrowthBound(M=4.0, C=1.0, alpha=1.0),
+                       kind=Averaging.ARITHMETIC, sigma=1.0,
+                       growth=GrowthBound(M=4.0, C=1.0),
                        kink_lines=(1.0,))
     with pytest.raises(ToleranceNotMetError, match="above tol"):
         price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, 1.0),
@@ -327,7 +322,7 @@ def test_price_initial_datum_attainment():
         return 1.0 / (1.0 + np.maximum(rho - 1.0, 0.0) ** 2)
 
     spec = geometric_spec(payoff=plateau, sigma=math.sqrt(2.0 * lam),
-                          growth=GrowthBound(M=1.5, C=0.1, alpha=1.0),
+                          growth=GrowthBound(M=1.5, C=0.1),
                           kinks=())
     prob = CauchyProblem(spec=spec, initial=plateau)
     for dt in (1e-1, 1e-2, 1e-3):
@@ -377,8 +372,8 @@ def test_dual_method_quick():
 
 def test_price_family_refuses_a_rate():
     spec = PricingSpec(payoff=unit_payoff, kind=Averaging.ARITHMETIC,
-                       strike=1.0, maturity=1.0, sigma=math.sqrt(2.0),
-                       rate=0.05, growth=GrowthBound(M=1.5, C=0.5, alpha=1.0))
+                       sigma=math.sqrt(2.0), rate=0.05,
+                       growth=GrowthBound(M=1.5, C=0.5))
     with pytest.raises(ValueError, match="r = 0"):
         price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, 1.0),
               tol=1e-5)
@@ -391,7 +386,7 @@ def test_price_refuses_missed_tolerance():
     def digital(s, a):
         return (np.asarray(a, float) > 0.0).astype(float)
 
-    growth = GrowthBound(M=1.5, C=0.1, alpha=1.0)
+    growth = GrowthBound(M=1.5, C=0.1)
     hidden = transform_geometric(
         geometric_spec(payoff=digital, growth=growth, kinks=()))
     with pytest.raises(ToleranceNotMetError, match="above tol"):
