@@ -1,6 +1,7 @@
 """Shared quadrature primitives: cached Gauss-Legendre rules, panel
-helpers and the dual-rule driver that gives every kernel integral its
-error estimate."""
+helpers, a cached Gauss-Hermite rule for the weight e^{-x^2} on the whole
+line, and the dual-rule driver that gives every kernel integral its error
+estimate."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -17,6 +18,12 @@ BLOCK_NODES = 16_384
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
+
+
+@lru_cache(maxsize=8)
+def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule for integral f(x) e^{-x^2} dx over the real line."""
+    return np.polynomial.hermite.hermgauss(n)
 
 
 def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -110,8 +110,9 @@ def _cmd_psi(args) -> int:
 
 def _cmd_price(args) -> int:
     sigma, rate, strike, T = args.sigma, args.rate, args.strike, args.maturity
-    if not args.spot > 0.0:
-        raise ValueError(f"--spot must be positive, got {args.spot!r}")
+    if not 0.0 < args.spot < math.inf:
+        raise ValueError(f"--spot must be positive and finite, got "
+                         f"{args.spot!r}")
     if args.kind == "geometric":
         spec = PricingSpec(payoff=geometric_call_payoff(strike, T),
                            kind=Averaging.GEOMETRIC, sigma=sigma, rate=rate,

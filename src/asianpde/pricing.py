@@ -6,8 +6,10 @@ fundamental solution against it, u = integral of Gamma * phi with lambda =
 sigma^2/2.  The quadrature runs in kernel-adapted coordinates: per rule
 order, fixed outer nodes times fixed inner edges, in blocks of rows.  The
 log-price family uses standardized Gaussian variables rotated so that each
-kink line is one inner edge; a rotation keeps the truncation radius.  The
-price family uses s = log z and v = log u of Yor's density: theta depends
+kink line is one inner edge; a rotation keeps the truncation radius.  Its
+outer axis carries no kink, so one Gauss-Hermite rule integrates it over
+the whole line, and Gauss-Legendre panels tile the inner axis on [-L, L].
+The price family uses s = log z and v = log u of Yor's density: theta depends
 on s alone, so one call per rule evaluates it on the outer s nodes; the
 rows are cut to the band |s + v| <= w_half that truncates w, and s stops at
 7, above which e^-z underflows.  Each family hands its rule to
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import (BLOCK_NODES, dual_rule, edges_with_kinks,
-                          panel_nodes)
+                          gauss_hermite, panel_nodes)
 from .geometry import EventPoint
 from .kernels import KernelParams, KernelResult, _yor_band_rule
 from .mc import Averaging
@@ -75,7 +77,10 @@ class PricingSpec:
     sigma and rate are the constant volatility and interest rate, the only
     copy of them that pricing reads; the time to maturity is the evaluation
     point's t.  kink_lines lists y-values where the transformed payoff has
-    kinks so the quadrature can split panels there.
+    kinks so the quadrature can split panels there.  Off those lines the
+    payoff must be smooth: a kink or jump anywhere else (a kink in S, say)
+    leaves the rules to disagree, and the price is refused unless the
+    estimate that disagreement gives still meets the tolerance.
     """
 
     payoff: Callable
@@ -87,8 +92,11 @@ class PricingSpec:
     kink_lines: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got "
+                             f"{self.sigma!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +106,9 @@ class CauchyProblem:
 
 
 def _check_call(strike: float, maturity: float) -> None:
-    if not (strike > 0.0 and maturity > 0.0):
-        raise ValueError(f"strike and maturity must be positive, got "
-                         f"{strike!r} and {maturity!r}")
+    if not (0.0 < strike < math.inf and 0.0 < maturity < math.inf):
+        raise ValueError(f"strike and maturity must be positive and finite, "
+                         f"got {strike!r} and {maturity!r}")
 
 
 def geometric_call_payoff(strike: float, maturity: float) -> Callable:
@@ -189,14 +197,19 @@ def _truncation_radius(growth: GrowthBound, offset: float, slope: float,
 def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
                    lam: float, tol: float, budget: float
                    ) -> tuple[float, float]:
-    """Tensor Gauss rule on [-L, L]^2 in rotated standardized (xbar, ybar).
+    """Tensor Gauss rule in rotated standardized (xbar, ybar).
 
     xi = x - sx*xbar and eta = c - n*rho, with c = y + dt*x, p = dt*sx/2,
     n = hypot(p, sy), inner rho = (p*xbar + sy*ybar)/n and outer
     (p*ybar - sy*xbar)/n, so a kink line k is the inner edge (c - k)/n of
-    every row.  A rotation keeps the Gaussian, the map's norm and the corner
-    radius sqrt(2)*L, so L is the unrotated one.  Row blocks of BLOCK_NODES
-    nodes keep the working memory under 1 MB a price."""
+    every row.  The outer axis carries no kink, so the Gauss-Hermite rule
+    of 3*order nodes, whose weights hold e^{-outer^2}, integrates it over
+    the whole line; Gauss-Legendre panels tile the inner axis on [-L, L].
+    Only the strip |rho| > L is discarded, which lies inside the complement
+    of the square [-L, L]^2: a rotation keeps the Gaussian, the map's norm
+    and the corner radius sqrt(2)*L, so the unrotated L's tol/10 share
+    covers it.  Row blocks of BLOCK_NODES nodes keep the working memory
+    under 1 MB a price."""
     spec = problem.spec
     x, y, dt = point.x, point.y, point.t
     # shift onto the drift-free model operator, discount at the end
@@ -215,10 +228,10 @@ def _price_gamma_k(problem: CauchyProblem, point: EventPoint, r: float,
     phi = problem.initial
 
     def integrate(order: int, width: float) -> tuple[float, float]:
-        perp, wp = panel_nodes(edges_with_kinks(-L, L, width, ()), order)
+        perp, wp = gauss_hermite(3 * order)
         rho, wr = panel_nodes(edges_with_kinks(-L, L, width, rho_kinks),
                               order)
-        wp, wr = wp * np.exp(-perp * perp), wr * np.exp(-rho * rho)
+        wr = wr * np.exp(-rho * rho)
         eta, xi_rho = c - n * rho, x - (dt * sx * sx / (2.0 * n)) * rho
         rows = max(1, BLOCK_NODES // rho.size)
         total = 0.0
@@ -265,16 +278,17 @@ def price(problem: CauchyProblem, point: EventPoint,
     Its diffusion constant lambda = sigma^2/2 and the rate r come from
     spec.sigma and spec.rate; a rate on the price family, which has no
     discounting here, raises ValueError.  The payoff must satisfy the spec's
-    growth bound (checked on a lattice).  A tol <= 0 raises ValueError; a
-    result whose error estimate exceeds tol raises ToleranceNotMetError.
+    growth bound (checked on a lattice).  A tol that is not positive and
+    finite raises ValueError; a result whose error estimate exceeds tol
+    raises ToleranceNotMetError.
     """
     spec = problem.spec
     r, lam = spec.rate, 0.5 * spec.sigma * spec.sigma
     KernelParams(lam)  # refuses lambda <= 0
     if point.t <= 0.0:
         raise ValueError(f"evaluation time must be positive, got {point.t}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     geometric = spec.kind is Averaging.GEOMETRIC
     if not geometric and r != 0.0:
         raise ValueError("the price-family kernel prices only r = 0")

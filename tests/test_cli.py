@@ -88,8 +88,9 @@ def test_price_command_csv(tmp_path, capsys):
 
 # calls at tol 1e-5, rate 0 and sigma^2 T = 2.  Arithmetic: price and the
 # estimate of the tensor rule in (w, log u), which tabulated theta in log z,
-# held within 1e-9 and below the estimate.  Geometric: the rotated tensor
-# rule's printed price and estimate, held exactly.
+# held within 1e-9 and below the estimate.  Geometric: the printed price and
+# estimate of the rotated rule, Gauss-Hermite on the outer axis, held
+# exactly.
 PRICE_PINS = [
     # (sigma, spot, strike, price, estimate, kind)
     (1.1, 1.0, 1.05, 0.8641755492340777, 1.046920101285972e-06,
@@ -98,11 +99,11 @@ PRICE_PINS = [
      "arithmetic"),
     (1.3, 1.1, 0.02, 1.8701100111898747, 1.0516934274228884e-06,
      "arithmetic"),
-    (1.1, 1.0, 1.05, 0.20853626254395352, 1.000000000138778e-06,
+    (1.1, 1.0, 1.05, 0.20853626254395344, 1.0000000000277557e-06,
      "geometric"),
     (1.45, 0.9, 1.1, 0.15331550910057698, 1.0000000000000002e-06,
      "geometric"),
-    (1.3, 1.1, 0.02, 0.9111299232708329, 1.0000000002220448e-06,
+    (1.3, 1.1, 0.02, 0.9111299232708329, 1.000000000333067e-06,
      "geometric"),
 ]
 
@@ -301,6 +302,25 @@ def test_python_m_runs_cli(module, capsys):
      "tol must be positive"),
     (["price", "--kind", "geometric", "--sigma", "0.4", "--tol", "-1"],
      "tol must be positive"),
+    # non-finite contract, model and tolerance inputs are refused by name
+    (["price", "--kind", "arithmetic", "--sigma", "1.4", "--maturity", "inf"],
+     "maturity must be positive and finite"),
+    (["price", "--kind", "arithmetic", "--sigma", "nan"],
+     "sigma must be positive and finite"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--rate", "nan"],
+     "rate must be finite"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--rate", "inf"],
+     "rate must be finite"),
+    (["price", "--kind", "geometric", "--sigma", "nan"],
+     "sigma must be positive and finite"),
+    (["price", "--kind", "geometric", "--sigma", "inf"],
+     "sigma must be positive and finite"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--spot", "inf"],
+     "--spot must be positive and finite"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--maturity", "inf"],
+     "maturity must be positive and finite"),
+    (["price", "--kind", "geometric", "--sigma", "0.4", "--tol", "inf"],
+     "tol must be positive and finite"),
     # the price family needs a positive pole price
     (["fd-solve", "--kind", "l", "--pole", "0,0,0", "--out", "l.grid"],
      "pole needs x > 0"),
@@ -319,7 +339,10 @@ def test_python_m_runs_cli(module, capsys):
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
         "price-missed-tol", "price-arithmetic-rate", "price-zero-maturity",
         "price-zero-strike", "price-zero-spot", "price-zero-tol",
-        "price-negative-tol",
+        "price-negative-tol", "price-arithmetic-infinite-maturity",
+        "price-arithmetic-nan-sigma", "price-nan-rate", "price-infinite-rate",
+        "price-nan-sigma", "price-infinite-sigma", "price-infinite-spot",
+        "price-infinite-maturity", "price-infinite-tol",
         "fd-solve-l-default-pole", "fd-solve-short-trange",
         "fd-solve-short-yrange", "fd-solve-long-trange",
         "fd-solve-infinite-lambda", "fd-solve-huge-lambda",
@@ -350,10 +373,11 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import asianpde.cli, asianpde._quadrature as q; "
-         "print(q.gauss_legendre.cache_info().currsize)"],
+         "print(q.gauss_legendre.cache_info().currsize, "
+         "q.gauss_hermite.cache_info().currsize)"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.strip() == "0 0"
 
 
 def test_pricing_import_leaves_fd_unloaded():

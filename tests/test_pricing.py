@@ -154,15 +154,24 @@ def test_price_linearity_in_payoff():
 
 
 @pytest.fixture
-def rule_edges(monkeypatch):
-    """Edges of every panel_nodes call of the Gamma_K rule, in call order."""
-    calls, panel_nodes = [], pricing.panel_nodes
+def rule_calls(monkeypatch):
+    """The Gamma_K rule's 1-D inner edges (one panel_nodes call each), their
+    panel orders and the size of each outer gauss_hermite rule, in call
+    order."""
+    calls = {"edges": [], "orders": [], "outer": []}
+    panel_nodes, gauss_hermite = pricing.panel_nodes, pricing.gauss_hermite
 
-    def recorded(edges, order):
-        calls.append(np.array(edges))
+    def inner(edges, order):
+        calls["edges"].append(np.array(edges))
+        calls["orders"].append(order)
         return panel_nodes(edges, order)
 
-    monkeypatch.setattr(pricing, "panel_nodes", recorded)
+    def outer(n):
+        calls["outer"].append(n)
+        return gauss_hermite(n)
+
+    monkeypatch.setattr(pricing, "panel_nodes", inner)
+    monkeypatch.setattr(pricing, "gauss_hermite", outer)
     return calls
 
 
@@ -177,15 +186,21 @@ def kink_edges(sigma, rate, maturity, kinks):
 
 
 def check_rule_edges(calls, rho_kinks):
-    """Two rules of 1-D edges, outer then inner: the inner edges are the
-    outer ones plus each kink inside (-L, L) once, and none outside."""
-    assert len(calls) == 4
-    assert all(e.ndim == 1 for e in calls)
-    for outer, inner in (calls[:2], calls[2:]):
-        L = -outer[0]
+    """Two rules, coarse (order 8, width 0.5) then fine (order 12, width
+    0.3).  Each integrates the kink-free outer axis with the Gauss-Hermite
+    rule of 3 * order nodes, and tiles the inner axis once: its edges are
+    the width's steps from -L to L plus each kink inside (-L, L) once, and
+    none outside."""
+    assert calls["orders"] == [8, 12]
+    assert calls["outer"] == [3 * 8, 3 * 12]
+    for edges, width in zip(calls["edges"], (0.5, 0.3)):
+        assert edges.ndim == 1 and np.all(np.diff(edges) > 0.0)
+        L = -edges[0]
+        assert edges[-1] == L
+        plain = np.append(np.arange(-L, L, width), L)
         inside = np.sort(rho_kinks[np.abs(rho_kinks) < L])
-        assert np.all(np.isin(outer, inner))
-        extra = np.setdiff1d(inner, outer)
+        assert np.all(np.isin(plain, edges))
+        extra = np.setdiff1d(edges, plain)
         assert extra.size == inside.size
         np.testing.assert_allclose(extra, inside, rtol=1e-12, atol=1e-12)
 
@@ -193,44 +208,70 @@ def check_rule_edges(calls, rho_kinks):
 @pytest.mark.parametrize("sigma,maturity,strike,rate", list(
     itertools.product((0.1, 0.6), (0.25, 2.0), (0.8, 1.25), (0.0, 0.08))))
 def test_price_geometric_book_grid(sigma, maturity, strike, rate,
-                                   rule_edges):
+                                   rule_calls):
     spec = geometric_spec(sigma=sigma, rate=rate, strike=strike,
                           maturity=maturity)
     res = price(transform_geometric(spec), EventPoint(0.0, 0.0, maturity),
                 tol=1e-8)
     ref = lognormal_geometric_call(sigma, rate, strike, maturity)
     assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
-    check_rule_edges(rule_edges, kink_edges(sigma, rate, maturity,
+    check_rule_edges(rule_calls, kink_edges(sigma, rate, maturity,
                                             spec.kink_lines))
 
 
 @pytest.mark.parametrize("sigma,maturity", [(0.1, 0.25), (0.4, 1.0),
                                             (0.6, 2.0)])
-def test_price_two_kinks_outside_the_box(sigma, maturity, rule_edges):
+def test_price_two_kinks_outside_the_box(sigma, maturity, rule_calls):
     def combo(s, a):
         return (2.0 * geometric_call_payoff(1.0, maturity)(s, a)
                 + 3.0 * geometric_call_payoff(1.2, maturity)(s, a))
 
     def priced(kinks):
-        rule_edges.clear()
+        for recorded in rule_calls.values():
+            recorded.clear()
         spec = geometric_spec(payoff=combo, sigma=sigma, maturity=maturity,
                               growth=GrowthBound(5.0, 1.5 / maturity),
                               kinks=kinks)
         res = price(transform_geometric(spec),
                     EventPoint(0.0, 0.0, maturity), tol=1e-8)
-        return res, list(rule_edges)
+        return res, {k: list(v) for k, v in rule_calls.items()}
 
     kinks = (maturity * math.log(1.2), 0.0)     # descending order
-    res, edges = priced(kinks)
+    res, calls = priced(kinks)
     ref = (2.0 * lognormal_geometric_call(sigma, 0.0, 1.0, maturity)
            + 3.0 * lognormal_geometric_call(sigma, 0.0, 1.2, maturity))
     assert abs(res.value - ref) <= res.abs_error_estimate <= 1e-8
-    check_rule_edges(edges, kink_edges(sigma, 0.0, maturity, kinks))
+    check_rule_edges(calls, kink_edges(sigma, 0.0, maturity, kinks))
     # ascending order, or two more kink lines far outside the box, give
     # the same edges
     for other in (kinks[::-1], kinks + (-1e3, 1e3)):
-        again = priced(other)[1]
-        assert all(np.array_equal(a, b) for a, b in zip(edges, again))
+        again = priced(other)[1]["edges"]
+        assert len(again) == len(calls["edges"])
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(calls["edges"], again))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("sigma,maturity", [(0.4, 1.0), (0.2, 0.25),
+                                            (0.6, 2.0), (0.1, 0.5)])
+def test_price_undeclared_kink_in_spot_is_honest(sigma, maturity, tol, rate):
+    # max(S - K, 0) priced through Gamma_K is a Black-Scholes call; its kink
+    # at S = K is no line of constant y, so kink_lines cannot declare it.
+    # The price is either within its estimate of Black-Scholes or refused.
+    strike = 1.1
+    spec = geometric_spec(
+        payoff=lambda s, a: np.maximum(np.asarray(s) - strike, 0.0),
+        sigma=sigma, rate=rate, growth=GrowthBound(M=1.0, C=1.0), kinks=())
+    sd = sigma * math.sqrt(maturity)
+    d1 = (rate * maturity - math.log(strike)) / sd + sd / 2.0
+    bs = norm.cdf(d1) - strike * math.exp(-rate * maturity) * norm.cdf(d1 - sd)
+    try:
+        res = price(transform_geometric(spec),
+                    EventPoint(0.0, 0.0, maturity), tol=tol)
+    except ToleranceNotMetError:
+        return
+    assert abs(res.value - bs) <= res.abs_error_estimate <= tol
 
 
 @pytest.mark.parametrize("sigma,rate,maturity,spot", [

@@ -1,9 +1,12 @@
-"""Panel Gauss-Legendre rules."""
+"""Panel Gauss-Legendre rules, the Gauss-Hermite rule and the dual-rule
+driver."""
+import math
+
 import numpy as np
 import pytest
 
-from asianpde._quadrature import (dual_rule, gauss_legendre, panel_nodes,
-                                  uniform_edges)
+from asianpde._quadrature import (dual_rule, gauss_hermite, gauss_legendre,
+                                  panel_nodes, uniform_edges)
 
 
 def reference_panel_nodes(edges, order):
@@ -60,3 +63,16 @@ def test_dual_rule_stops_after_a_coarse_term_past_budget():
     rule, calls = recording_rule([(0.44, 4.2e-4), (0.45, 0.0)])
     assert dual_rule(rule, 0.34, 9e-6) == (0.44, 4.2e-4)
     assert calls == [(8, 0.5)]
+
+
+@pytest.mark.parametrize("n", [24, 36])
+def test_gauss_hermite_is_exact_to_degree_2n_minus_1(n):
+    # integral of x^(2k) e^(-x^2) over the line is Gamma(k + 1/2); odd
+    # moments vanish
+    x, w = gauss_hermite(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    for k in range(n):
+        assert w @ x**(2 * k) == pytest.approx(math.gamma(k + 0.5),
+                                               rel=1e-12)
+        assert abs(w @ x**(2 * k + 1)) <= 1e-12 * math.gamma(k + 1.0)
