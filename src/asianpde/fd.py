@@ -7,10 +7,14 @@ column; apply_operator and the implicit step both read those bands.  Time
 stepping is Lie splitting: explicit monotone upwind transport in y, then
 implicit Euler (I - dt*D) u = rhs, one block-diagonal tridiagonal system
 over all y columns, factored by LAPACK gttrf and solved by gttrs.  Together
-they preserve the discrete comparison principle.  The price-family
-operator is solved in w = log x, where x*d/dx becomes d/dw and the
-transport speed becomes e^w; the degenerate x -> 0 edge maps to w -> -inf
-and is truncated with outflow conditions.
+they preserve the discrete comparison principle.  The march keeps its
+array as (ny, nx), x fastest, which is the layout of that system: each step
+is two slice updates for the transport, split where the sorted speed
+changes sign, and one gttrs on the array's own buffer, with no copy.
+Solution.final is the transposed (nx, ny) view; save_grid writes it out
+contiguous.  The price-family operator is solved in w = log x, where
+x*d/dx becomes d/dw and the transport speed becomes e^w; the degenerate
+x -> 0 edge maps to w -> -inf and is truncated with outflow conditions.
 
 Variable log-price coefficients reach the fundamental solution through
 `mollify`, the paper's limiting procedure: the chi_n cut-off outside the
@@ -333,7 +337,9 @@ def _implicit_solver(bands, grid: GridSpec, t: float,
     """solve(rhs) for (I - dt*D), D the x-operator at time t given by its
     bands.  Laid out x-fastest, the y columns form one tridiagonal system of
     nx*ny unknowns, block diagonal as lower[0] = upper[-1] = 0: LAPACK
-    dgttrf factors it once here and each solve is one dgttrs call.
+    dgttrf factors it once here and each solve is one dgttrs call.  rhs and
+    the result are (ny, nx), x fastest; a C-contiguous rhs is overwritten
+    by the result, with no copy.
 
     Raises ValueError when D has a negative off-diagonal: I - dt*D is then
     no M-matrix and the step can turn nonnegative data negative."""
@@ -352,8 +358,8 @@ def _implicit_solver(bands, grid: GridSpec, t: float,
         raise SolveError(f"implicit step at t={float(t)!r} is singular")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.T.ravel())
-        return x.reshape(grid.ny, grid.nx).T.copy()
+        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.ravel(), overwrite_b=1)
+        return x.reshape(grid.ny, grid.nx)
 
     return solve
 
@@ -370,6 +376,11 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     when the bands of D at the first, middle and last step times are
     bitwise equal, else at every step: a field that varies in t yet agrees
     at those three times is stepped as if frozen at the first.
+
+    The march runs on a private (ny, nx) copy of `initial`, x fastest: the
+    transport is two in-place slice updates split at the first cell whose
+    speed is >= 0, and the implicit step one dgttrs on that buffer.
+    Solution.final is its transposed (nx, ny) view.
     """
     if initial.shape != (grid.nx, grid.ny):
         raise GridMismatchError(
@@ -381,14 +392,13 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         )
     dt = grid.dt
     nu = grid.physical_x(grid.xs) * dt / grid.dy
-    nupos = np.maximum(nu, 0.0)[:, None]
-    nuneg = np.maximum(-nu, 0.0)[:, None]
-    # index of each cell's upper and lower y neighbour; an edge cell is its own
-    up, dn = np.r_[1:grid.ny, grid.ny - 1], np.r_[0, :grid.ny - 1]
+    # nu increases in x: cells k0.. look up in y, cells ..k0 look down
+    k0 = int(np.searchsorted(nu, 0.0))
     ts = grid.ts
     area = grid.cell_area
 
-    u = initial.astype(float).copy()
+    # always a copy: when initial is F-ordered, initial.T is C-contiguous
+    u = np.array(initial.T, dtype=float, order="C")
     mass = [float(u.sum() * area)]
     leakage = []
     bands = _x_bands(field, grid, ts[1])
@@ -398,7 +408,10 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     for n in range(grid.nt):
         # transport substep (explicit upwind, copy-out at y edges); the
         # mass before it is the one the previous step recorded
-        u = u + nupos * (u[:, up] - u) + nuneg * (u[:, dn] - u)
+        d = u[1:] - u[:-1]
+        d *= nu
+        u[:-1, k0:] += d[:, k0:]
+        u[1:, :k0] += d[:, :k0]
         leakage.append(float(u.sum() * area - mass[-1]))
         # diffusion substep (implicit)
         if n > 0 and not frozen:
@@ -409,7 +422,7 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         mass.append(float(u.sum() * area))
         if not math.isfinite(mass[-1]) and not np.all(np.isfinite(u)):
             raise SolveError(f"solver produced non-finite values at step {n}")
-    return Solution(grid=grid, final=u, mass_history=np.array(mass),
+    return Solution(grid=grid, final=u.T, mass_history=np.array(mass),
                     transport_leakage=np.array(leakage))
 
 

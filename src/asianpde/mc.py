@@ -114,6 +114,7 @@ def simulate_terminal(
         logs = np.full(m, math.log(s0))
         s = np.full(m, s0)
         a = np.full(m, a0)
+        f_prev = favg(s)
         for _ in range(cfg.n_steps):
             if cfg.antithetic:
                 # mirrored draws on adjacent paths (2k, 2k+1); the block
@@ -124,10 +125,11 @@ def simulate_terminal(
                 z[1::2] = -zh[: m // 2]
             else:
                 z = gen.standard_normal(m)
-            f_prev = favg(s)
             logs = logs + drift + vol * z
             s = np.exp(logs)
-            a = a + 0.5 * dt * (f_prev + favg(s))
+            f = favg(s)
+            a = a + 0.5 * dt * (f_prev + f)
+            f_prev = f
         out_s[i0:i1] = s
         out_a[i0:i1] = a
     return TerminalSamples(s=out_s, a=out_a)

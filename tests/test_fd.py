@@ -226,13 +226,65 @@ def test_implicit_solve_keeps_columns_apart():
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     rhs = np.exp(-X**2) * (1.0 + Y + Y**2)
     bands = fd._x_bands(field, grid, t)
-    u = fd._implicit_solver(bands, grid, t, dt)(rhs)
+    # the solve takes and returns the march layout (ny, nx), x fastest
+    u = fd._implicit_solver(bands, grid, t, dt)(rhs.T)
     lower, diag, upper = bands
     for j in range(grid.ny):
         D = (np.diag(diag[:, j]) + np.diag(lower[1:, j], -1)
              + np.diag(upper[:-1, j], 1))
         ref = np.linalg.solve(np.eye(grid.nx) - dt * D, rhs[:, j])
-        assert np.max(np.abs(u[:, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(u.T[:, j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _reference_march(field, initial, grid):
+    # the scheme written out plainly: gather-based upwind transport with
+    # copy-out at the y edges, then one dense solve of I - dt*D per column
+    nu = grid.physical_x(grid.xs) * grid.dt / grid.dy
+    nupos = np.maximum(nu, 0.0)[:, None]
+    nuneg = np.maximum(-nu, 0.0)[:, None]
+    up, dn = np.r_[1:grid.ny, grid.ny - 1], np.r_[0, :grid.ny - 1]
+    u = initial.copy()
+    for n in range(grid.nt):
+        u = u + nupos * (u[:, up] - u) + nuneg * (u[:, dn] - u)
+        lower, diag, upper = fd._x_bands(field, grid, grid.ts[n + 1])
+        for j in range(grid.ny):
+            D = (np.diag(diag[:, j]) + np.diag(lower[1:, j], -1)
+                 + np.diag(upper[:-1, j], 1))
+            u[:, j] = np.linalg.solve(np.eye(grid.nx) - grid.dt * D, u[:, j])
+    return u
+
+
+@pytest.mark.parametrize("x_range, nx, kind", [
+    ((-2.0, -0.5), 16, GeometryKind.K),  # every speed negative
+    ((0.5, 2.0), 16, GeometryKind.K),    # every speed positive
+    ((-1.0, 1.0), 17, GeometryKind.K),   # one node with speed exactly 0
+    ((-1.0, 0.5), 16, GeometryKind.L),   # speed e^w > 0
+])
+def test_march_matches_reference_step(x_range, nx, kind):
+    grid = GridSpec(x_range=x_range, y_range=(-1.0, 1.0),
+                    t_range=(0.0, 0.1), nx=nx, ny=11, nt=3, kind=kind)
+    r = 0.0 if kind is GeometryKind.L else (
+        lambda x, y, t: 0.3 + 0.2 * y + 0.05 * x**2)
+    field = CoefficientField(a=lambda x, y, t: 1.0 + 0.5 * np.sin(x + 2 * y),
+                             b=lambda x, y, t: 0.6 * np.cos(x) * y, r=r,
+                             lam=0.5, Lam=1.5, kind=kind)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    initial = np.exp(-X**2) * (1.0 + Y + Y**2) + 0.1 * np.sin(3 * Y)
+    u = solve_cauchy(field, initial, grid).final
+    ref = _reference_march(field, initial, grid)
+    assert u.shape == (grid.nx, grid.ny)
+    assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_solve_leaves_initial_untouched():
+    # the march updates its array in place and dgttrs overwrites it: it
+    # must run on a copy whatever the memory order of the datum
+    grid = make_grid(nx=17, ny=13, nt=4)
+    field = CoefficientField.constant(1.0)
+    datum = np.random.default_rng(3).uniform(size=(grid.nx, grid.ny))
+    for initial in (datum.copy(), np.asfortranarray(datum)):
+        solve_cauchy(field, initial, grid)
+        assert np.array_equal(initial, datum)
 
 
 def test_time_dependent_coefficients_rebuild_each_step():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from asianpde import mc
 from asianpde.mc import (Averaging, Histogram2D, McConfig, ModelSpec,
                          empirical_density, fraction_within_bands, mc_price,
                          simulate_terminal)
@@ -80,6 +81,43 @@ def test_bitwise_reproducibility():
     c = simulate_terminal(model, (1.0, 0.0), 1.0, McConfig(
         n_paths=70_000, n_steps=32, seed=124))
     assert not np.array_equal(a.s, c.s)
+
+
+def _reference_terminal(model, start, horizon, cfg):
+    # the path loop written plainly, the average term of the old price
+    # recomputed at each step; one block, as n_paths < PATH_BLOCK
+    s0, a0 = start
+    favg = np.log if model.averaging is Averaging.GEOMETRIC else (
+        lambda s: s)
+    dt = horizon / cfg.n_steps
+    drift, vol = model.mu * dt, model.sigma * math.sqrt(dt)
+    gen = mc._block_generator(cfg.seed, 0)
+    m = cfg.n_paths
+    logs, s, a = np.full(m, math.log(s0)), np.full(m, s0), np.full(m, a0)
+    for _ in range(cfg.n_steps):
+        if cfg.antithetic:
+            zh = gen.standard_normal((m + 1) // 2)
+            z = np.empty(m)
+            z[0::2] = zh
+            z[1::2] = -zh[: m // 2]
+        else:
+            z = gen.standard_normal(m)
+        f_prev = favg(s)
+        logs = logs + drift + vol * z
+        s = np.exp(logs)
+        a = a + 0.5 * dt * (f_prev + favg(s))
+    return s, a
+
+
+@pytest.mark.parametrize("averaging", list(Averaging))
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_simulate_terminal_matches_reference_loop(averaging, antithetic):
+    model = ModelSpec(mu=0.1, sigma=0.7, averaging=averaging)
+    cfg = McConfig(n_paths=1_000, n_steps=16, seed=7, antithetic=antithetic)
+    out = simulate_terminal(model, (1.3, 0.2), 0.75, cfg)
+    s, a = _reference_terminal(model, (1.3, 0.2), 0.75, cfg)
+    assert np.array_equal(out.s, s)
+    assert np.array_equal(out.a, a)
 
 
 def test_mc_price_unit_payoff():
