@@ -50,7 +50,11 @@ def _parse_floats(text: str, key: str, form: str) -> tuple[float, ...]:
 
 
 def _parse_point(text: str, key: str) -> EventPoint:
-    return EventPoint(*_parse_floats(text, key, "x,y,t"))
+    # the range options are left to GridSpec, which names the bad range
+    values = _parse_floats(text, key, "x,y,t")
+    if not all(map(math.isfinite, values)):
+        raise SystemExit(_usage_error(f"{key} must be finite, got {text!r}"))
+    return EventPoint(*values)
 
 
 def _usage_error(msg: str) -> int:

@@ -9,7 +9,9 @@ quadrature with dual-rule error control (:func:`theta_batch`).
 
 Integrals of the density run in s = log z and v = log u, where theta
 depends on s alone, so one theta call per rule covers every node
-(:func:`_yor_band_rule`); pricing and :func:`yor_mass` share its box.
+(:func:`_yor_band_rule`); pricing and :func:`yor_mass` share its box.  The
+kink-free s axis is one uniform trapezoid of step 0.6 * width; the v axis,
+which carries the payoff kinks, keeps its Gauss-Legendre panels.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import (BLOCK_NODES, dual_rule, edges_with_kinks,
-                          gauss_legendre, panel_nodes, uniform_edges)
+                          gauss_legendre, panel_nodes)
 from .geometry import EventPoint
 
 __all__ = [
@@ -49,6 +51,8 @@ THETA_MAX_PANELS = 4096
 # upper rule doubles it and their disagreement is the rule error
 _THETA_ORDER = 24
 _EPS = np.finfo(float).eps
+# below this s, z = e^s is subnormal
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class ThetaConvergenceError(RuntimeError):
@@ -62,8 +66,9 @@ class KernelParams:
     lambda_: float
 
     def __post_init__(self) -> None:
-        if self.lambda_ <= 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lambda_}")
+        if not 0.0 < self.lambda_ < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got "
+                             f"{self.lambda_}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,8 @@ def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _theta_envelope(xi: np.ndarray, z: float, t: float) -> np.ndarray:
-    with np.errstate(under="ignore", over="ignore"):
+    # inf * 0 gives NaN at long times, which theta_batch then refuses
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         return np.exp(-(xi**2) / (2.0 * t) - z * np.cosh(xi)) * np.sinh(xi)
 
 
@@ -183,8 +189,8 @@ def _truncation_floor(tol: float) -> float:
 def _check_t_tol(t: float, tol: float) -> None:
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def _drop_below_estimate(vals: np.ndarray, errs: np.ndarray
@@ -225,7 +231,9 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
     The truncation floor belongs to theta itself, min(tol*1e-3, 1e-18) * t,
     and is left to the callers, as is reporting values below their
     estimate as 0.  The z are taken in chunks of about 6e4 z-by-node
-    elements, written into one reused buffer: about 0.5 MB a call.
+    elements, written into one reused buffer: about 0.5 MB a call.  A
+    value or estimate that is not finite, as at t above about 1000 where
+    sinh overflows, raises ThetaConvergenceError.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
@@ -239,7 +247,8 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
     xs_b, ws_b = panel_nodes(edges, 2 * _THETA_ORDER)
 
     def accumulate(xs, ws, with_scale):
-        with np.errstate(under="ignore", over="ignore"):
+        # a non-finite g is refused below, so its warnings are silenced
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             pref = (np.exp(-(xs**2) / (2.0 * t)) * np.sinh(xs)
                     * np.sin(math.pi * xs / t)) * ws
             absref = np.abs(pref) if with_scale else None
@@ -263,7 +272,12 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
 
     va, sa = accumulate(xs_a, ws_a, True)
     vb, _ = accumulate(xs_b, ws_b, False)
-    return vb, np.abs(va - vb) + _EPS * sa * max(1, len(edges) - 1)
+    err = np.abs(va - vb) + _EPS * sa * max(1, len(edges) - 1)
+    # |va - vb| is not finite wherever vb is not, so err alone is checked
+    if not np.isfinite(err).all():
+        raise ThetaConvergenceError(
+            f"theta at t={t} is not finite: its integrand overflows")
+    return vb, err
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +334,7 @@ def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
 
 def _yor_band_rule(t: float, v_kinks, order: int, width: float, tol: float,
                    f) -> tuple[float, float]:
-    """One Gauss rule for the integral of p(w, u, t) * f(e^2w, u) over the
+    """One tensor rule for the integral of p(w, u, t) * f(e^2w, u) over the
     box |w| <= w_half = 8 sqrt(t) + 3, log u in [-9, 13 sqrt(t) + 4]: the
     value and its density-level estimate.  f takes a block of e^2w and the
     row of u.
@@ -328,30 +342,40 @@ def _yor_band_rule(t: float, v_kinks, order: int, width: float, tol: float,
     The rule runs in s = w - log u = log z and v = log u, where dw du =
     ds dv and p du dw = exp(c0(t) + s - e^-v/2 - e^2s e^v/2) e^-z g(z) ds dv.
     theta enters through s alone, so one :func:`theta_batch` call on the
-    outer nodes, at their exact z, serves every node.  The s panels of
-    `width` cover [-w_half - v_hi, min(w_half - v_lo, 7)]: above s = 7,
-    e^-z underflows.  The v panels of `width` take each of `v_kinks` inside
-    the box as one more edge, shared by every row.  The estimate and the
-    dropping of values below it are :func:`yor_density_batch`'s; both are
-    the prefactor times a factor of s, so they are decided once per row.
-    Rows go in blocks of at most BLOCK_NODES nodes; a block keeps only the
-    v columns that meet the band |s + v| <= w_half, and masks its nodes
-    outside the band.
+    outer nodes, at their exact z, serves every node.  Along s the
+    integrand is analytic and carries no kink; it decays like e^-z above
+    and is cut by the band below, so a uniform trapezoid converges
+    geometrically on it.  Its nodes s_lo + k h, each of weight h with
+    h = 0.6 * `width`, run from s_lo = -w_half - v_hi to the first node at
+    or above 7 (below w_half - v_lo): above s = 7, e^-z underflows.  The v
+    axis keeps Gauss-Legendre panels of `width` and `order`, which take
+    each of `v_kinks` inside the box as one more edge, shared by every
+    row.  A payoff with a kink in xi, and so in s + v, has no edge there:
+    its price stays honest only through the disagreement of the two
+    rules, as on Gamma_K's outer axis.  A Yor time whose e^s_lo is
+    subnormal, t above about 1110, raises ThetaConvergenceError before any
+    node is built.  The estimate and the dropping of values below it are
+    :func:`yor_density_batch`'s; both are the prefactor times a factor of
+    s, so they are decided once per row.  Rows go in blocks of at most
+    BLOCK_NODES nodes; a block keeps only the v columns that meet the band
+    |s + v| <= w_half, and masks its nodes outside the band.
     """
     w_half = 8.0 * math.sqrt(t) + 3.0
-    v_edges = edges_with_kinks(-9.0, 13.0 * math.sqrt(t) + 4.0, width,
-                               v_kinks)
+    v_hi = 13.0 * math.sqrt(t) + 4.0
+    s_lo, h = -w_half - v_hi, 0.6 * width
+    if s_lo < _LOG_TINY:
+        raise ThetaConvergenceError(
+            f"Yor time t={t} too long: the s range starts at e^{s_lo:.4g}, "
+            "below the smallest normal double")
+    v_edges = edges_with_kinks(-9.0, v_hi, width, v_kinks)
     vn, vw = panel_nodes(v_edges, order)
-    sn, sw = panel_nodes(uniform_edges(
-        -w_half - v_edges[-1], min(w_half - v_edges[0], 7.0), width), order)
+    sn = s_lo + h * np.arange(math.ceil((7.0 - s_lo) / h) + 1)
     z = np.exp(sn)
     g, g_err = theta_batch(z, t, tol)
     with np.errstate(under="ignore"):
         damp = np.exp(-z)
     row_val, row_err = _drop_below_estimate(
         damp * g, damp * g_err + _truncation_floor(tol) * t)
-    row_val *= sw
-    row_err *= sw
     row_log = _yor_log_c0(t) + sn
     e2s = z * z
     u = np.exp(vn)
@@ -374,11 +398,12 @@ def _yor_band_rule(t: float, v_kinks, order: int, width: float, tol: float,
         dens *= f(np.multiply.outer(e2s[r], u[c] ** 2), u[c])
         value += row_val[r] @ (dens @ vw[c])
         estimate += row_err[r] @ (np.abs(dens, out=dens) @ vw[c])
-    return float(value), float(estimate)
+    return h * float(value), h * float(estimate)
 
 
 def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
-    """Double integral of p(., ., t) over R x (0, inf) by panelled quadrature.
+    """Double integral of p(., ., t) over R x (0, inf): a uniform trapezoid
+    in s times Gauss-Legendre panels in v.
 
     The rule pair is :func:`_yor_band_rule` with f = 1 under `dual_rule`;
     v = log u resolves both the essential singularity at u -> 0+ and the

@@ -48,6 +48,12 @@ class ModelSpec:
     r: float = 0.0
     averaging: Averaging = Averaging.ARITHMETIC
 
+    def __post_init__(self) -> None:
+        for name, value in (("mu", self.mu), ("sigma", self.sigma),
+                            ("r", self.r)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -95,10 +101,12 @@ def simulate_terminal(
     normal draws.
     """
     s0, a0 = start
-    if s0 <= 0.0:
-        raise ValueError(f"starting price must be positive, got {s0}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < s0 < math.inf:
+        raise ValueError(f"starting price must be positive and finite, "
+                         f"got {s0}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got "
+                         f"{horizon}")
     favg = _avg_fn(model)
     dt = horizon / cfg.n_steps
     drift, vol = model.mu * dt, model.sigma * math.sqrt(dt)

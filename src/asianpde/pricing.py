@@ -10,9 +10,11 @@ kink line is one inner edge; a rotation keeps the truncation radius.  Its
 outer axis carries no kink, so one Gauss-Hermite rule integrates it over
 the whole line, and Gauss-Legendre panels tile the inner axis on [-L, L].
 The price family uses s = log z and v = log u of Yor's density: theta depends
-on s alone, so one call per rule evaluates it on the outer s nodes; the
-rows are cut to the band |s + v| <= w_half that truncates w, and s stops at
-7, above which e^-z underflows.  Each family hands its rule to
+on s alone, so one call per rule evaluates it on the outer s nodes.  The
+s axis carries no kink, so one uniform trapezoid of step 0.6 * width
+integrates it, and Gauss-Legendre panels tile the v axis; the rows are cut
+to the band |s + v| <= w_half that truncates w, and s stops at 7, above
+which e^-z underflows.  Each family hands its rule to
 `_quadrature.dual_rule`, which runs the coarse and fine pair and gives the
 estimate.  Truncation radii are chosen so the discarded envelope mass times
 the growth bound stays below tol/10, which `price` adds to the estimate;

@@ -336,6 +336,33 @@ def test_python_m_runs_cli(module, capsys):
     (["fd-solve", "--yrange", "1,1", "--out", "k.grid"], "y range"),
     (["fd-solve", "--xrange", "1,-1", "--out", "k.grid"], "x range"),
     (["fd-solve", "--xrange", "nan,1", "--out", "k.grid"], "x range"),
+    # Yor times where theta overflows, or the s range leaves the normal
+    # doubles, are refused before they allocate
+    (["kernel", "--kind", "l", "--point", "1,0,1e6", "--pole", "1.2,0.8,0"],
+     "not finite"),
+    (["price", "--kind", "arithmetic", "--sigma", "1.2", "--maturity", "1e4"],
+     "too long"),
+    (["price", "--kind", "arithmetic", "--sigma", "1.2", "--maturity",
+      "1e12"], "too long"),
+    (["price", "--kind", "arithmetic", "--sigma", "1.2", "--maturity",
+      "1e20"], "too long"),
+    # non-finite kernel and simulation inputs
+    (["kernel", "--kind", "k", "--point", "nan,0,1", "--pole", "0,0,0"],
+     "--point must be finite"),
+    (["kernel", "--kind", "l", "--point", "1,0,1", "--pole", "1.2,0.8,0",
+      "--lambda", "inf"], "lambda must be positive and finite"),
+    (["kernel", "--kind", "l", "--point", "1,0,1", "--pole", "1.2,0.8,0",
+      "--tol", "nan"], "tol must be positive and finite"),
+    (["mc", "--sigma", "nan", "--paths", "10"], "sigma must be finite"),
+    (["mc", "--sigma", "1", "--mu", "nan", "--paths", "10"],
+     "mu must be finite"),
+    (["mc", "--sigma", "inf", "--paths", "10"], "sigma must be finite"),
+    (["mc", "--sigma", "1", "--spot", "inf", "--paths", "10"],
+     "starting price must be positive and finite"),
+    (["mc", "--sigma", "1", "--horizon", "nan", "--paths", "10"],
+     "horizon must be positive and finite"),
+    (["mc", "--sigma", "1", "--horizon", "inf", "--paths", "10"],
+     "horizon must be positive and finite"),
 ], ids=["bad-point", "price-small-sigma", "kernel-short-elapsed",
         "price-missed-tol", "price-arithmetic-rate", "price-zero-maturity",
         "price-zero-strike", "price-zero-spot", "price-zero-tol",
@@ -347,7 +374,12 @@ def test_python_m_runs_cli(module, capsys):
         "fd-solve-short-yrange", "fd-solve-long-trange",
         "fd-solve-infinite-lambda", "fd-solve-huge-lambda",
         "fd-solve-empty-yrange", "fd-solve-reversed-xrange",
-        "fd-solve-nan-xrange"])
+        "fd-solve-nan-xrange", "kernel-long-elapsed",
+        "price-arithmetic-maturity-1e4", "price-arithmetic-maturity-1e12",
+        "price-arithmetic-maturity-1e20", "kernel-nan-point",
+        "kernel-infinite-lambda", "kernel-nan-tol", "mc-nan-sigma",
+        "mc-nan-mu", "mc-infinite-sigma", "mc-infinite-spot",
+        "mc-nan-horizon", "mc-infinite-horizon"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "asianpde", *argv],
                           capture_output=True, text=True, env=_child_env(),

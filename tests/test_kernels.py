@@ -350,8 +350,8 @@ def _call_spec():
 
 
 def test_arithmetic_price_memory_peak():
-    # theta_batch's z-by-node matrices on the fine rule's outer nodes set
-    # the peak; a row block of the rule holds at most BLOCK_NODES nodes
+    # theta_batch's chunk buffer and one row block of the rule, which holds
+    # at most BLOCK_NODES nodes, set the peak
     T, spec = _call_spec()
     tracemalloc.start()
     try:
@@ -360,7 +360,7 @@ def test_arithmetic_price_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * 2**20
+    assert peak <= 2 * 2**20
 
 
 def test_arithmetic_price_calls_theta_once_per_rule(monkeypatch):
@@ -370,9 +370,11 @@ def test_arithmetic_price_calls_theta_once_per_rule(monkeypatch):
     T, spec = _call_spec()
     price(make_arithmetic_problem(spec), EventPoint(1.0, 0.0, T), tol=1e-5)
     assert len(seen) == 2
-    for z in seen:
-        assert z.ndim == 1 and z.size <= 1100
+    for z, step in zip(seen, (0.3, 0.204)):
+        assert z.ndim == 1 and z.size <= 200
         assert np.all(np.diff(z) > 0.0)
+        # the s axis is one uniform trapezoid of step 0.6 * width
+        np.testing.assert_allclose(np.diff(np.log(z)), step, rtol=1e-9)
 
 
 # -- price-family kernel -----------------------------------------------------

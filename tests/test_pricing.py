@@ -341,6 +341,25 @@ def test_price_arithmetic_unit_payoff(theta_calls):
     assert len(theta_calls) == 2
 
 
+@pytest.mark.parametrize("sigma, maturity", [(1.0, 1.69), (1.0, 4.0),
+                                             (1.5, 4.0)])
+def test_price_arithmetic_deep_in_the_money_mean(sigma, maturity):
+    # Yor times sigma^2 T / 4 from 0.42 to 2.25: at K = 0.02 the average
+    # falls below K with a probability far below tol, so the call is
+    # the mean of the average, (e^{sigma^2 T/2} - 1) / (sigma^2 T/2), less K
+    strike, tol = 0.02, 1e-5
+    spec = PricingSpec(payoff=arithmetic_call_payoff(strike, maturity),
+                       kind=Averaging.ARITHMETIC, sigma=sigma,
+                       growth=GrowthBound(M=2.0 + 2.0 / maturity,
+                                          C=1.0 / maturity),
+                       kink_lines=(maturity * strike,))
+    res = price(make_arithmetic_problem(spec),
+                EventPoint(1.0, 0.0, maturity), tol=tol)
+    half = 0.5 * sigma * sigma * maturity
+    assert abs(res.value - (math.expm1(half) / half - strike)) \
+        <= res.abs_error_estimate
+
+
 def test_price_family_refuses_after_the_coarse_rule(theta_calls):
     # sigma = 1, T = 1 call: the coarse rule's density term alone exceeds
     # tol, so the fine rule never runs
