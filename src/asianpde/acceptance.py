@@ -21,8 +21,8 @@ from .fd import (CoefficientField, GridSpec, MollifierMode, MollifierSpec,
                  apply_operator, approximate_fundamental_solution, mollify,
                  solve_cauchy)
 from .geometry import EventPoint, GeometryKind, compose, dist
-from .kernels import (KernelParams, gamma_k_array, gamma_k_mass,
-                      gamma_l1_array, gamma_l1_mass, theta)
+from .kernels import (gamma_k_array, gamma_k_mass, gamma_l_array, theta,
+                      yor_mass)
 from .mc import (Averaging, McConfig, ModelSpec, empirical_density,
                  fraction_within_bands, mc_price, simulate_terminal)
 from .pricing import (CauchyProblem, GrowthBound, PricingSpec,
@@ -38,8 +38,7 @@ def criterion_1_kernel_normalization():
     for lam in (0.5, 1.0, 2.0):
         for dt in (0.1, 1.0):
             t0 = time.time()
-            mass = gamma_k_mass(KernelParams(lam),
-                                EventPoint(0.3, -0.2, dt), 0.0)
+            mass = gamma_k_mass(lam, EventPoint(0.3, -0.2, dt), 0.0)
             slowest = max(slowest, time.time() - t0)
             worst = max(worst, abs(mass - 1.0))
     return (worst <= 1e-6 and slowest < 1.0,
@@ -107,7 +106,9 @@ def criterion_3_residual_order():
 
 def criterion_4_yor_kernel_mass():
     t_start = time.time()
-    res = gamma_l1_mass(EventPoint(1.0, 0.0, 1.0), 0.0, tol=1e-4)
+    # the pole-variable mass of Gamma_L at unit diffusion and elapsed time
+    # 1 is the Yor density's at t = 1/2
+    res = yor_mass(0.5, tol=1e-4)
     elapsed = time.time() - t_start
     # dual-rule agreement honored at the requested tolerance
     dual_ok = True
@@ -131,8 +132,8 @@ def criterion_5_kernel_vs_mc_density():
     bins = (np.linspace(qx[0], qx[1], 51), np.linspace(qy[0], qy[1], 51))
     hist = empirical_density((samples.s, samples.a), bins)
     XX, YY = np.meshgrid(hist.x_centers, hist.y_centers, indexing="ij")
-    dens, _ = gamma_l1_array(1.0, 0.0, 1.0, XX.ravel(), YY.ravel(), 0.0,
-                             1e-8)
+    dens, _ = gamma_l_array(1.0, 1.0, 0.0, 1.0, XX.ravel(), YY.ravel(), 0.0,
+                            1e-8)
     frac = fraction_within_bands(hist, dens.reshape(XX.shape))
     elapsed = time.time() - t_start
     return (frac >= 0.95 and elapsed < 300.0,
@@ -271,8 +272,8 @@ def criterion_9_envelope_sandwich():
     lo_l = np.empty(len(pts))
     hi_l = np.empty(len(pts))
     for k, (x, y, t) in enumerate(pts):
-        v, _ = gamma_l1_array(np.array([x]), np.array([y]), t,
-                              pole.x, pole.y, pole.t, 1e-8)
+        v, _ = gamma_l_array(1.0, np.array([x]), np.array([y]), t,
+                             pole.x, pole.y, pole.t, 1e-8)
         target_l[k] = v[0]
         lo_l[k], hi_l[k] = gamma_l_envelope(EventPoint(x, y, t), pole, eps)
     cl, cu = fit_multiplicative_constants(target_l[::2], lo_l[::2],

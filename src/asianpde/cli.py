@@ -26,8 +26,7 @@ from .control import ControlEndpoints, psi
 from .fd import (CoefficientField, GridSpec, approximate_fundamental_solution,
                  save_grid)
 from .geometry import EventPoint, GeometryKind
-from .kernels import (KernelParams, ThetaConvergenceError, gamma_k,
-                      gamma_l_lambda)
+from .kernels import ThetaConvergenceError, gamma_k_array, gamma_l_array
 from .mc import Averaging, McConfig, ModelSpec, mc_price, simulate_terminal
 from .pricing import (GrowthBound, PricingSpec, ToleranceNotMetError,
                       arithmetic_call_payoff, geometric_call_payoff,
@@ -86,11 +85,12 @@ def _cmd_kernel(args) -> int:
     z = _parse_point(args.point, "--point")
     pole = _parse_point(args.pole, "--pole")
     if args.kind == "k":
-        val = gamma_k(KernelParams(args.lam), z, pole)
+        val = float(gamma_k_array(args.lam, z.x, z.y, z.t,
+                                  pole.x, pole.y, pole.t))
         err = 0.0
     else:
-        res = gamma_l_lambda(KernelParams(args.lam), z, pole, args.tol)
-        val, err = res.value, res.abs_error_estimate
+        val, err = map(float, gamma_l_array(args.lam, z.x, z.y, z.t, pole.x,
+                                            pole.y, pole.t, args.tol))
     print(f"{float(val)!r}")
     if args.output:
         _write_csv(args.output,

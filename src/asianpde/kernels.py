@@ -1,5 +1,12 @@
 """Constant-coefficient kernels for both operator families.
 
+Each kernel is evaluated by one array function, which takes the diffusion
+constant lam = sigma^2 / 2 first: :func:`gamma_k_array` for the log-price
+family and :func:`gamma_l_array` for the price family.  The only other
+kernel entry point, :func:`gamma_l_lambda`, is a scalar wrapper over
+:func:`gamma_l_array` that the benchmark's ``kernel-points`` workload calls
+and traces by name.
+
 The log-price family has a Gaussian closed form.  The price family reduces
 to the joint density of a Brownian motion and its integrated geometric
 exponential, which carries the slowly decaying oscillatory integral theta.
@@ -29,16 +36,13 @@ __all__ = [
     "KernelResult",
     "ThetaConvergenceError",
     "THETA_MIN_TIME",
-    "gamma_k",
     "gamma_k_array",
     "gamma_k_mass",
     "theta",
     "theta_batch",
     "yor_density_batch",
     "yor_mass",
-    "gamma_l1",
-    "gamma_l1_array",
-    "gamma_l1_mass",
+    "gamma_l_array",
     "gamma_l_lambda",
 ]
 
@@ -59,23 +63,28 @@ class ThetaConvergenceError(RuntimeError):
     """Oscillatory quadrature cannot meet its error contract."""
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class KernelParams:
-    """Diffusion constant of the model operator, lambda = sigma^2 / 2."""
+    """Diffusion constant of the model operator, lambda = sigma^2 / 2.
+
+    Only :func:`gamma_l_lambda`, the benchmark's entry point, takes it; the
+    array kernels take lam as a float."""
 
     lambda_: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lambda_ < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got "
-                             f"{self.lambda_}")
+        _check_positive("lambda", self.lambda_)
 
 
 @dataclass(frozen=True)
 class KernelResult:
     value: float
     abs_error_estimate: float
-    tolerance_used: float
 
     def __post_init__(self) -> None:
         if self.value < 0.0 or self.abs_error_estimate < 0.0:
@@ -91,7 +100,12 @@ def gamma_k_array(
     x, y, t,
     xi, eta, tau,
 ) -> np.ndarray:
-    """Vectorized Gaussian kernel; zero on t <= tau."""
+    """Gaussian kernel of the constant-coefficient log-price operator at
+    evaluation points (x, y, t) for poles (xi, eta, tau), all broadcast;
+    exactly 0 on t <= tau, strictly positive after where its exponent is
+    representable.  A lam that is not positive and finite raises
+    ValueError."""
+    _check_positive("lambda", lam)
     x, y, t = np.asarray(x, float), np.asarray(y, float), np.asarray(t, float)
     xi, eta, tau = (np.asarray(xi, float), np.asarray(eta, float),
                     np.asarray(tau, float))
@@ -110,35 +124,24 @@ def gamma_k_array(
     return out
 
 
-def gamma_k(params: KernelParams, z: EventPoint, pole: EventPoint) -> float:
-    """Closed-form kernel of the constant-coefficient log-price operator.
+def gamma_k_mass(lam: float, z: EventPoint, tau: float) -> float:
+    """Pole-variable integral of :func:`gamma_k_array` by quadrature.
 
-    Total function: exactly 0 for z.t <= pole.t, strictly positive after.
+    The nodes are 80 Gauss-Legendre points over ten standard deviations in
+    xi and, in the shear variable s = eta - (y + dt*(x+xi)/2), in eta, where
+    the kernel is a product of two 1D Gaussians.
     """
-    return float(gamma_k_array(params.lambda_, z.x, z.y, z.t,
-                               pole.x, pole.y, pole.t))
-
-
-def gamma_k_mass(params: KernelParams, z: EventPoint, tau: float) -> float:
-    """Pole-variable integral of the Gaussian kernel by quadrature.
-
-    Uses the shear substitution s = eta - (y + dt*(x+xi)/2), under which the
-    double integral factorizes into two 1D Gaussian quadratures.
-    """
-    lam = params.lambda_
+    _check_positive("lambda", lam)
     dt = z.t - tau
     if dt <= 0.0:
         return 0.0
     sx = math.sqrt(2.0 * lam * dt)
     sy = math.sqrt(lam * dt**3 / 6.0)
     xg, wgt = gauss_legendre(80)
-    xi = z.x + 10.0 * sx * xg
-    s = 10.0 * sy * xg
-    fx = np.exp(-((z.x - xi) ** 2) / (4.0 * lam * dt))
-    fs = np.exp(-3.0 * s**2 / (lam * dt**3))
-    ix = 10.0 * sx * float(np.dot(wgt, fx))
-    iy = 10.0 * sy * float(np.dot(wgt, fs))
-    return math.sqrt(3.0) / (2.0 * lam * math.pi * dt**2) * ix * iy
+    xi = z.x + 10.0 * sx * xg[:, None]
+    eta = z.y + dt * (z.x + xi) / 2.0 + 10.0 * sy * xg
+    vals = gamma_k_array(lam, z.x, z.y, z.t, xi, eta, tau)
+    return 100.0 * sx * sy * float(wgt @ vals @ wgt)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +192,7 @@ def _truncation_floor(tol: float) -> float:
 def _check_t_tol(t: float, tol: float) -> None:
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_positive("tol", tol)
 
 
 def _drop_below_estimate(vals: np.ndarray, errs: np.ndarray
@@ -213,8 +215,7 @@ def theta(z_arg: float, t: float, tol: float = 1e-10) -> KernelResult:
     scale = math.exp(-z_arg)
     value, err = _drop_below_estimate(
         scale * g, scale * g_err + _truncation_floor(tol) * t)
-    return KernelResult(value=float(value[0]), abs_error_estimate=float(err[0]),
-                        tolerance_used=tol)
+    return KernelResult(value=float(value[0]), abs_error_estimate=float(err[0]))
 
 
 def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
@@ -417,35 +418,35 @@ def yor_mass(t: float, tol: float = 1e-4) -> KernelResult:
     if not est <= tol:
         raise ThetaConvergenceError(
             f"mass at t={t} has error estimate {est:.1e} above tol={tol:.1e}")
-    return KernelResult(value=value, abs_error_estimate=est,
-                        tolerance_used=tol)
+    return KernelResult(value=value, abs_error_estimate=est)
 
 
 # ---------------------------------------------------------------------------
 # Kernel of the price family
 # ---------------------------------------------------------------------------
 
-def gamma_l1(z: EventPoint, pole: EventPoint, tol: float = 1e-10
-             ) -> KernelResult:
-    """Kernel of the unit-diffusion price operator at one evaluation point
-    and one pole: wraps :func:`gamma_l1_array`."""
-    vals, errs = gamma_l1_array(z.x, z.y, z.t, pole.x, pole.y, pole.t, tol)
-    return KernelResult(float(vals), float(errs), tol)
-
-
-def gamma_l1_array(x, y, t: float, xi, eta, tau: float, tol: float = 1e-10
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel of the unit-diffusion price operator, vectorized: values and
-    error estimates at evaluation points (x, y, t) for poles (xi, eta, tau).
+def gamma_l_array(lam: float, x, y, t: float, xi, eta, tau: float,
+                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of the price operator with diffusion constant lam, vectorized:
+    values and error estimates at evaluation points (x, y, t) for poles
+    (xi, eta, tau).
 
     The space coordinates x, y, xi, eta broadcast; the times t and tau are
-    scalars, because theta builds one node set per elapsed time.
-    Transition-density reading: the value is the density of reaching
-    (xi, eta) from (x, y) after elapsed time t - tau.  Identically 0 on
-    {t <= tau} union {y >= eta}: time must advance and the running average
-    can only increase.
+    scalars, because theta builds one node set per elapsed time.  The
+    diffusive rescaling (y, t) -> (lam*y, lam*t) maps the kernel onto the
+    unit-diffusion one, times lam: every test and difference below runs on
+    the rescaled y, t, eta and tau.  At unit diffusion the value is the
+    density of reaching (xi, eta) from (x, y) after elapsed time t - tau,
+    written through the Yor density at w = log(xi/x)/2, u = (eta - y)/(2x)
+    and half the elapsed time.  Identically 0 on {t <= tau} union
+    {y >= eta}: time must advance and the running average can only
+    increase.  lam and tol must be positive and finite, and the x
+    coordinates positive, wherever the points lie.
     """
+    _check_positive("lambda", lam)
+    _check_positive("tol", tol)
     x, y, xi, eta = (np.asarray(v, dtype=float) for v in (x, y, xi, eta))
+    y, eta, t, tau = lam * y, lam * eta, lam * t, lam * tau
     if np.any(x <= 0.0) or np.any(xi <= 0.0):
         raise ValueError("x coordinates of points and poles must be positive")
     shape = np.broadcast(x, y, xi, eta).shape
@@ -461,35 +462,17 @@ def gamma_l1_array(x, y, t: float, xi, eta, tau: float, tol: float = 1e-10
                                        (eta[alive] - y[alive]) / (2.0 * xa),
                                        (t - tau) / 2.0, tol)
         pref = 1.0 / (4.0 * xa * xia)
-        vals[alive] = pref * dens
-        errs[alive] = pref * derr
+        vals[alive] = lam * (pref * dens)
+        errs[alive] = lam * (pref * derr)
     return vals, errs
-
-
-def gamma_l1_mass(z: EventPoint, tau: float, tol: float = 1e-4
-                  ) -> KernelResult:
-    """Pole-variable double integral of gamma_l1; equals 1 in exact arithmetic.
-
-    Substituting w = log(xi/x)/2 and u = (eta - y)/(2x) turns the integral
-    into the total mass of the underlying joint density at elapsed/2, which
-    is then integrated by the same panelled rule as yor_mass, and raises
-    as it does when the estimate exceeds tol.
-    """
-    if z.t <= tau:
-        return KernelResult(0.0, 0.0, tol)
-    return yor_mass((z.t - tau) / 2.0, tol)
 
 
 def gamma_l_lambda(params: KernelParams, z: EventPoint, pole: EventPoint,
                    tol: float = 1e-10) -> KernelResult:
-    """General-diffusion price kernel via the diffusive rescaling
-    (y, t) -> (lam*y, lam*t) with prefactor lam.
+    """:func:`gamma_l_array` at one evaluation point and one pole.
 
-    This is the transition density of the drift-free exponential model with
-    volatility sqrt(2*lam); at lam = 1 it coincides with gamma_l1.
-    """
-    lam = params.lambda_
-    zs = EventPoint(z.x, lam * z.y, lam * z.t)
-    ps = EventPoint(pole.x, lam * pole.y, lam * pole.t)
-    base = gamma_l1(zs, ps, tol)
-    return KernelResult(lam * base.value, lam * base.abs_error_estimate, tol)
+    Kept, with :class:`KernelParams`, because the benchmark's
+    ``kernel-points`` workload calls it and traces it by name."""
+    vals, errs = gamma_l_array(params.lambda_, z.x, z.y, z.t,
+                               pole.x, pole.y, pole.t, tol)
+    return KernelResult(float(vals), float(errs))

@@ -31,7 +31,7 @@ import numpy as np
 from ._quadrature import (BLOCK_NODES, dual_rule, edges_with_kinks,
                           gauss_hermite, panel_nodes)
 from .geometry import EventPoint
-from .kernels import KernelParams, KernelResult, _yor_band_rule
+from .kernels import KernelResult, _check_positive, _yor_band_rule
 from .mc import Averaging
 
 __all__ = [
@@ -286,11 +286,11 @@ def price(problem: CauchyProblem, point: EventPoint,
     """
     spec = problem.spec
     r, lam = spec.rate, 0.5 * spec.sigma * spec.sigma
-    KernelParams(lam)  # refuses lambda <= 0
+    # sigma > 0 can still square to lambda = 0, below sigma ~ 1e-154
+    _check_positive("lambda", lam)
     if point.t <= 0.0:
         raise ValueError(f"evaluation time must be positive, got {point.t}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
     geometric = spec.kind is Averaging.GEOMETRIC
     if not geometric and r != 0.0:
         raise ValueError("the price-family kernel prices only r = 0")
@@ -317,5 +317,4 @@ def price(problem: CauchyProblem, point: EventPoint,
             f"price {value:.6g} has error estimate {err:.3g} above tol "
             f"{tol:.3g}"
         )
-    return KernelResult(value=value, abs_error_estimate=err,
-                        tolerance_used=tol)
+    return KernelResult(value=value, abs_error_estimate=err)

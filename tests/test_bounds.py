@@ -5,7 +5,7 @@ import pytest
 from asianpde.bounds import (fit_multiplicative_constants, gamma_l_envelope,
                              sandwich_violations)
 from asianpde.geometry import EventPoint
-from asianpde.kernels import gamma_k_array, gamma_l1_array
+from asianpde.kernels import gamma_k_array, gamma_l_array
 
 
 def test_envelope_constants_validation():
@@ -70,8 +70,8 @@ def test_gamma_l_envelope_fit_validate():
 
     target = np.empty(len(pts))
     for k, (x, y, t) in enumerate(pts):
-        vals, _ = gamma_l1_array(np.array([x]), np.array([y]), t,
-                                 pole.x, pole.y, pole.t, 1e-8)
+        vals, _ = gamma_l_array(1.0, np.array([x]), np.array([y]), t,
+                                pole.x, pole.y, pole.t, 1e-8)
         target[k] = vals[0]
 
     lo_shape = np.empty(len(pts))

@@ -353,6 +353,20 @@ def test_python_m_runs_cli(module, capsys):
       "--lambda", "inf"], "lambda must be positive and finite"),
     (["kernel", "--kind", "l", "--point", "1,0,1", "--pole", "1.2,0.8,0",
       "--tol", "nan"], "tol must be positive and finite"),
+    # outside the support (y >= eta, or t <= tau) the kernel is 0, but the
+    # tol and lambda are still checked
+    (["kernel", "--kind", "l", "--point", "1,1,1", "--pole", "1.2,0.8,0",
+      "--tol", "nan"], "tol must be positive and finite"),
+    (["kernel", "--kind", "l", "--point", "1,0,0", "--pole", "1.2,0.8,1",
+      "--tol", "0"], "tol must be positive and finite"),
+    (["kernel", "--kind", "l", "--point", "1,1,1", "--pole", "1.2,0.8,0",
+      "--tol", "-1"], "tol must be positive and finite"),
+    (["kernel", "--kind", "l", "--point", "1,0,0", "--pole", "1.2,0.8,1",
+      "--tol", "-1"], "tol must be positive and finite"),
+    (["kernel", "--kind", "k", "--point", "0,0,1", "--pole", "0,0,0",
+      "--lambda", "0"], "lambda must be positive and finite"),
+    (["kernel", "--kind", "k", "--point", "0,0,1", "--pole", "0,0,0",
+      "--lambda", "nan"], "lambda must be positive and finite"),
     (["mc", "--sigma", "nan", "--paths", "10"], "sigma must be finite"),
     (["mc", "--sigma", "1", "--mu", "nan", "--paths", "10"],
      "mu must be finite"),
@@ -377,7 +391,11 @@ def test_python_m_runs_cli(module, capsys):
         "fd-solve-nan-xrange", "kernel-long-elapsed",
         "price-arithmetic-maturity-1e4", "price-arithmetic-maturity-1e12",
         "price-arithmetic-maturity-1e20", "kernel-nan-point",
-        "kernel-infinite-lambda", "kernel-nan-tol", "mc-nan-sigma",
+        "kernel-infinite-lambda", "kernel-nan-tol",
+        "kernel-nan-tol-off-support", "kernel-zero-tol-before-pole",
+        "kernel-negative-tol-off-support",
+        "kernel-negative-tol-before-pole", "kernel-k-zero-lambda",
+        "kernel-k-nan-lambda", "mc-nan-sigma",
         "mc-nan-mu", "mc-infinite-sigma", "mc-infinite-spot",
         "mc-nan-horizon", "mc-infinite-horizon"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):

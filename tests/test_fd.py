@@ -12,7 +12,7 @@ from asianpde.fd import (BoundViolationError, CflError, CoefficientField,
                          approximate_fundamental_solution, delta_approximant,
                          load_grid, mollify, save_grid, solve_cauchy)
 from asianpde.geometry import EventPoint, GeometryKind
-from asianpde.kernels import KernelParams, gamma_k_array, gamma_l1_array
+from asianpde.kernels import gamma_k_array, gamma_l_array
 
 
 def make_grid(**kw):
@@ -363,8 +363,8 @@ def test_fd_kernel_l_kind_support_and_match():
     frac = float(sol.final[:, mask_hi].sum() / max(sol.final.sum(), 1e-300))
     assert frac <= 1e-6
     W, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    vals, _ = gamma_l1_array(np.exp(W.ravel()), Y.ravel(), 0.8,
-                             pole.x, pole.y, pole.t, 1e-8)
+    vals, _ = gamma_l_array(1.0, np.exp(W.ravel()), Y.ravel(), 0.8,
+                            pole.x, pole.y, pole.t, 1e-8)
     exact = vals.reshape(W.shape)
     num = float(np.sum(np.abs(sol.final - exact)) * grid.cell_area)
     den = float(np.sum(np.abs(exact)) * grid.cell_area)

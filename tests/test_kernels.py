@@ -29,9 +29,9 @@ from asianpde import kernels
 from asianpde._quadrature import panel_nodes, uniform_edges
 from asianpde.geometry import EventPoint, GeometryKind, compose
 from asianpde.kernels import (KernelParams, KernelResult, ThetaConvergenceError,
-                              gamma_k, gamma_k_array, gamma_k_mass, gamma_l1,
-                              gamma_l1_array, gamma_l1_mass, gamma_l_lambda,
-                              theta, theta_batch, yor_density_batch, yor_mass)
+                              gamma_k_array, gamma_k_mass, gamma_l_array,
+                              gamma_l_lambda, theta, theta_batch,
+                              yor_density_batch, yor_mass)
 from asianpde.mc import Averaging
 from asianpde.pricing import (GrowthBound, PricingSpec, arithmetic_call_payoff,
                               make_arithmetic_problem, price)
@@ -58,25 +58,23 @@ SQRT3_OVER_2PI = math.sqrt(3.0) / (2.0 * math.pi)
 # -- Gaussian kernel ---------------------------------------------------------
 
 def test_gamma_k_zero_before_pole():
-    p = KernelParams(1.0)
-    assert gamma_k(p, EventPoint(0, 0, 0.5), EventPoint(0, 0, 0.5)) == 0.0
-    assert gamma_k(p, EventPoint(1, 2, 0.2), EventPoint(0, 0, 0.7)) == 0.0
+    assert gamma_k_array(1.0, 0, 0, 0.5, 0, 0, 0.5) == 0.0
+    assert gamma_k_array(1.0, 1, 2, 0.2, 0, 0, 0.7) == 0.0
 
 
 def test_gamma_k_origin_value():
-    val = gamma_k(KernelParams(1.0), EventPoint(0, 0, 1), EventPoint(0, 0, 0))
+    val = gamma_k_array(1.0, 0, 0, 1, 0, 0, 0)
     assert val == pytest.approx(SQRT3_OVER_2PI, rel=1e-14)
 
 
 def test_gamma_k_shifted_pole_value():
     # exponent collapses to -3 * |y - eta|^2 when x = xi = 0 and dt = 1
-    val = gamma_k(KernelParams(1.0), EventPoint(0, 0, 1), EventPoint(0, 1, 0))
+    val = gamma_k_array(1.0, 0, 0, 1, 0, 1, 0)
     assert val == pytest.approx(SQRT3_OVER_2PI * math.exp(-3.0), rel=1e-14)
 
 
 def test_gamma_k_positive_after_pole():
     rng = np.random.default_rng(0)
-    p = KernelParams(0.7)
     for _ in range(100):
         z = EventPoint(*rng.normal(size=3))
         pole = EventPoint(*rng.normal(size=3))
@@ -86,7 +84,7 @@ def test_gamma_k_positive_after_pole():
         shear = z.y - pole.y + dt * (z.x + pole.x) / 2.0
         expo = -((z.x - pole.x) ** 2) / (4 * 0.7 * dt) \
             - 3 * shear**2 / (0.7 * dt**3)
-        val = gamma_k(p, z, pole)
+        val = gamma_k_array(0.7, z.x, z.y, z.t, pole.x, pole.y, pole.t)
         if expo > -700.0:   # representable in double precision
             assert val > 0.0
         else:
@@ -96,13 +94,25 @@ def test_gamma_k_positive_after_pole():
 def test_gamma_k_mass_is_one():
     for lam in (0.5, 1.0, 2.0):
         for dt in (0.1, 1.0):
-            m = gamma_k_mass(KernelParams(lam), EventPoint(0.3, -0.2, dt), 0.0)
+            m = gamma_k_mass(lam, EventPoint(0.3, -0.2, dt), 0.0)
             assert m == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gamma_k_invalid_lambda():
-    with pytest.raises(ValueError):
-        KernelParams(0.0)
+# each is called where its kernel is 0 (t <= tau), so lambda is checked
+# before any early return
+LAMBDA_CHECKS = {
+    "gamma_k_array": lambda lam: gamma_k_array(lam, 0, 0, 0, 0, 0, 1),
+    "gamma_l_array": lambda lam: gamma_l_array(lam, 1, 0, 0, 1, 1, 1),
+    "gamma_k_mass": lambda lam: gamma_k_mass(lam, EventPoint(0, 0, 0), 1.0),
+    "KernelParams": KernelParams,
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("check", LAMBDA_CHECKS)
+def test_gamma_k_invalid_lambda(check, lam):
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        LAMBDA_CHECKS[check](lam)
 
 
 def test_gamma_k_residual_decays_quadratically():
@@ -208,7 +218,7 @@ def test_theta_cutoff_matches_stepping_loop():
 
 def test_kernel_result_validation():
     with pytest.raises(ValueError):
-        KernelResult(value=-1.0, abs_error_estimate=0.0, tolerance_used=1e-6)
+        KernelResult(value=-1.0, abs_error_estimate=0.0)
 
 
 # -- joint density -----------------------------------------------------------
@@ -316,10 +326,12 @@ def test_yor_density_nonnegative_on_grid():
     assert np.all(vals >= 0.0) and np.all(errs >= 0.0)
 
 
-def test_yor_mass_is_one():
-    res = yor_mass(1.0, tol=1e-4)
-    assert res.value == pytest.approx(1.0, abs=1e-3)
-    # much tighter in practice; the criterion band is the contract
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+def test_yor_mass_is_one(t):
+    # Gamma_L's pole-variable mass at diffusion lam and elapsed time dt is
+    # yor_mass(lam * dt / 2): t = 0.5 is criterion 4's, t = 0.25 is lam = 0.5
+    res = yor_mass(t, tol=1e-4)
+    # the criterion band is 1e-3; the rule does far better
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -328,8 +340,6 @@ def test_yor_mass_refuses_short_times(t):
     # the rule's estimate there is 2.5e27 and 9.1e5, far above tol
     with pytest.raises(ThetaConvergenceError):
         yor_mass(t, tol=1e-4)
-    with pytest.raises(ThetaConvergenceError):
-        gamma_l1_mass(EventPoint(1.0, 0.0, 2.0 * t), 0.0, tol=1e-4)
 
 
 def test_yor_density_batch_reference_values():
@@ -379,92 +389,88 @@ def test_arithmetic_price_calls_theta_once_per_rule(monkeypatch):
 
 # -- price-family kernel -----------------------------------------------------
 
+def _gamma_l1(z, pole, tol=1e-10):
+    # unit-diffusion value at one point and one pole
+    val, _ = gamma_l_array(1.0, z.x, z.y, z.t, pole.x, pole.y, pole.t, tol)
+    return float(val)
+
+
 def test_gamma_l1_support():
     tol = 1e-8
     # time must advance
-    assert gamma_l1(EventPoint(1, 0, 0.5), EventPoint(1, 1, 0.5),
-                    tol).value == 0.0
-    assert gamma_l1(EventPoint(1, 0, 0.2), EventPoint(1, 1, 0.7),
-                    tol).value == 0.0
+    assert _gamma_l1(EventPoint(1, 0, 0.5), EventPoint(1, 1, 0.5), tol) == 0.0
+    assert _gamma_l1(EventPoint(1, 0, 0.2), EventPoint(1, 1, 0.7), tol) == 0.0
     # the average can only increase toward the pole slot
-    assert gamma_l1(EventPoint(1, 1.0, 1.0), EventPoint(1, 1.0, 0.0),
-                    tol).value == 0.0
-    assert gamma_l1(EventPoint(1, 2.0, 1.0), EventPoint(1, 1.0, 0.0),
-                    tol).value == 0.0
+    assert _gamma_l1(EventPoint(1, 1.0, 1.0), EventPoint(1, 1.0, 0.0),
+                     tol) == 0.0
+    assert _gamma_l1(EventPoint(1, 2.0, 1.0), EventPoint(1, 1.0, 0.0),
+                     tol) == 0.0
     # interior of the support is strictly positive
-    assert gamma_l1(EventPoint(1, 0.0, 1.0), EventPoint(1, 1.0, 0.0),
-                    tol).value > 0.0
+    assert _gamma_l1(EventPoint(1, 0.0, 1.0), EventPoint(1, 1.0, 0.0),
+                     tol) > 0.0
 
 
 def test_gamma_l1_domain_errors():
     with pytest.raises(ValueError):
-        gamma_l1(EventPoint(-1, 0, 1), EventPoint(1, 1, 0))
+        _gamma_l1(EventPoint(-1, 0, 1), EventPoint(1, 1, 0))
     with pytest.raises(ValueError):
-        gamma_l1(EventPoint(1, 0, 1), EventPoint(0.0, 1, 0))
-
-
-def test_gamma_l1_mass_is_one():
-    res = gamma_l1_mass(EventPoint(1.0, 0.0, 1.0), 0.0, tol=1e-4)
-    assert 0.999 <= res.value <= 1.001
-    assert res.value == pytest.approx(1.0, abs=1e-6)
+        _gamma_l1(EventPoint(1, 0, 1), EventPoint(0.0, 1, 0))
 
 
 def test_gamma_l1_reproduction():
-    # compose through tau = 0.5 and compare with the direct value
+    # compose through tau = 0.5 and compare with the direct value; at
+    # lam = 1.7 the legs have Yor times 0.425, where theta keeps its digits
     z, pole, tau = EventPoint(1, 0, 1), EventPoint(1, 1, 0), 0.5
-    direct = gamma_l1(z, pole, 1e-9).value
     vn, vw = panel_nodes(uniform_edges(-7.0, 5.0, 0.25), 10)
     en, ew = panel_nodes(uniform_edges(1e-12, 1.0, 0.025), 10)
     xi = np.exp(np.repeat(vn, en.size))
     eta = np.tile(en, vn.size)
     wts = np.repeat(vw, en.size) * xi * np.tile(ew, vn.size)
-    first, _ = gamma_l1_array(z.x, z.y, z.t, xi, eta, tau, 1e-9)
-    second, _ = gamma_l1_array(xi, eta, tau, pole.x, pole.y, pole.t, 1e-9)
-    composed = float(np.dot(wts, first * second))
-    assert composed == pytest.approx(direct, rel=1e-2)
-    assert composed == pytest.approx(direct, rel=1e-8)
+    for lam in (1.0, 1.7):
+        direct, _ = gamma_l_array(lam, z.x, z.y, z.t, pole.x, pole.y, pole.t,
+                                  1e-9)
+        first, _ = gamma_l_array(lam, z.x, z.y, z.t, xi, eta, tau, 1e-9)
+        second, _ = gamma_l_array(lam, xi, eta, tau, pole.x, pole.y, pole.t,
+                                  1e-9)
+        composed = float(np.dot(wts, first * second))
+        assert composed == pytest.approx(float(direct), rel=1e-2)
+        assert composed == pytest.approx(float(direct), rel=1e-8)
 
 
 def test_gamma_l1_left_invariance():
     # Gamma(g o z; g o pole) * g.x^2 = Gamma(z; pole)
     z, pole = EventPoint(1.2, 0.1, 0.9), EventPoint(0.8, 1.3, 0.1)
-    base = gamma_l1(z, pole, 1e-10).value
+    base = _gamma_l1(z, pole)
     rng = np.random.default_rng(1)
     for _ in range(20):
         g = EventPoint(float(rng.uniform(0.3, 3.0)),
                        float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
-        moved = gamma_l1(compose(GeometryKind.L, g, z),
-                         compose(GeometryKind.L, g, pole), 1e-10).value
+        moved = _gamma_l1(compose(GeometryKind.L, g, z),
+                          compose(GeometryKind.L, g, pole))
         assert moved * g.x**2 == pytest.approx(base, rel=1e-9)
 
 
-def test_gamma_l_lambda_identity_at_one():
+def test_gamma_l_lambda_wraps_gamma_l_array():
     rng = np.random.default_rng(2)
-    p = KernelParams(1.0)
     for _ in range(20):
+        lam = float(rng.uniform(0.25, 2.0))
         z = EventPoint(float(rng.uniform(0.3, 3)), float(rng.uniform(-1, 1)),
                        float(rng.uniform(0.5, 1.5)))
+        # lam times the elapsed time in [0.2, 4], as in kernel-points
         pole = EventPoint(float(rng.uniform(0.3, 3)),
                           z.y + float(rng.uniform(0.1, 2)),
-                          z.t - float(rng.uniform(0.3, 0.5)))
-        a = gamma_l_lambda(p, z, pole, 1e-10)
-        b = gamma_l1(z, pole, 1e-10)
-        assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-300)
-
-
-def test_gamma_l_lambda_mass_is_one():
-    # lam = 0.5: same substitution as the unit case, elapsed time halved
-    res = yor_mass(0.5 * 1.0 / 2.0, tol=1e-4)
-    assert res.value == pytest.approx(1.0, abs=1e-3)
+                          z.t - float(rng.uniform(0.2, 4.0)) / lam)
+        res = gamma_l_lambda(KernelParams(lam), z, pole, 1e-10)
+        val, err = gamma_l_array(lam, z.x, z.y, z.t, pole.x, pole.y, pole.t,
+                                 1e-10)
+        assert (res.value, res.abs_error_estimate) == (val, err)
 
 
 def test_gamma_l_lambda_positive_inside_support():
-    p = KernelParams(0.5)
-    val = gamma_l_lambda(p, EventPoint(1, 0, 1), EventPoint(1.2, 0.8, 0.0),
-                         1e-8)
-    assert val.value > 0.0
-    assert gamma_l_lambda(p, EventPoint(1, 1, 1), EventPoint(1.2, 0.8, 0.0),
-                          1e-8).value == 0.0
+    val, _ = gamma_l_array(0.5, 1, 0, 1, 1.2, 0.8, 0.0, 1e-8)
+    assert val > 0.0
+    val, _ = gamma_l_array(0.5, 1, 1, 1, 1.2, 0.8, 0.0, 1e-8)
+    assert val == 0.0
 
 
 def test_gamma_l1_integral_over_evaluation_vars_approaches_one():
@@ -479,8 +485,8 @@ def test_gamma_l1_integral_over_evaluation_vars_approaches_one():
         xi = np.exp(np.repeat(vn, en.size))
         eta = np.tile(en, vn.size)
         wts = np.repeat(vw, en.size) * xi * np.tile(ew, vn.size)
-        vals, _ = gamma_l1_array(xi, eta, dt, pole.x, pole.y, pole.t,
-                                 1e-8)
+        vals, _ = gamma_l_array(1.0, xi, eta, dt, pole.x, pole.y, pole.t,
+                                1e-8)
         cbars.append(float(np.dot(wts, vals)))
     gaps = [abs(c - 1.0) for c in cbars]
     assert all(c > 0.0 for c in cbars)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from asianpde import mc
-from asianpde.mc import (Averaging, Histogram2D, McConfig, ModelSpec,
-                         empirical_density, fraction_within_bands, mc_price,
-                         simulate_terminal)
+from asianpde.mc import (Averaging, McConfig, ModelSpec, empirical_density,
+                         fraction_within_bands, mc_price, simulate_terminal)
 
 
 def test_degenerate_diffusion_is_exact():

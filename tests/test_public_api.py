@@ -1,5 +1,6 @@
-"""Public surface: declared exports resolve, every export is used, and the
-benchmark's traced functions stay public."""
+"""Public surface: declared exports resolve, every export is used, the
+benchmark's traced functions stay public, and no module imports a name it
+never reads."""
 import ast
 import importlib
 import json
@@ -73,3 +74,35 @@ def test_every_exported_callable_is_used():
         dead += [f"{m}.{n}" for n in getattr(module, "__all__", ())
                  if callable(getattr(module, n)) and n not in used]
     assert dead == ["fd.load_grid"]
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; a name listed in its
+    __all__ counts as read, and a from-__future__ import is skipped."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+def test_no_unused_imports():
+    tests = Path(__file__).resolve().parent
+    files = (sorted(Path(asianpde.__file__).parent.glob("*.py"))
+             + sorted(tests.glob("*.py")))
+    assert [u for f in files for u in _unused_imports(f)] == []
