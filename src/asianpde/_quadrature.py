@@ -38,11 +38,6 @@ def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
             (half[:, None] * w).ravel())
 
 
-def uniform_edges(a: float, b: float, max_width: float) -> np.ndarray:
-    n = max(1, int(np.ceil((b - a) / max_width)))
-    return np.linspace(a, b, n + 1)
-
-
 def edges_with_kinks(lo: float, hi: float, width: float,
                      kinks: Sequence[float]) -> np.ndarray:
     """Panel edges of at most `width` on [lo, hi], plus each kink inside

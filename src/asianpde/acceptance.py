@@ -1,8 +1,8 @@
 """The acceptance criteria, each with its only copy of inputs and bounds.
 
 :data:`CRITERIA` maps 1..12 to functions returning ``(passed, detail)``;
-:func:`run` times one.  The test suite and ``asianpde validate`` both
-report this registry.
+:func:`run` times one and fails it past its :data:`RUNTIME_BOUND_S` entry.
+The test suite and ``asianpde validate`` both report this registry.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from ._quadrature import panel_nodes, uniform_edges
+from ._quadrature import edges_with_kinks, panel_nodes
 from .bounds import (fit_multiplicative_constants, gamma_l_envelope,
                      sandwich_violations)
 from .control import (ControlEndpoints, PsiBranch, psi_bruteforce,
@@ -29,7 +29,7 @@ from .pricing import (CauchyProblem, GrowthBound, PricingSpec,
                       arithmetic_call_payoff, geometric_call_payoff,
                       make_arithmetic_problem, price, transform_geometric)
 
-__all__ = ["CRITERIA", "run"]
+__all__ = ["CRITERIA", "RUNTIME_BOUND_S", "run"]
 
 
 def criterion_1_kernel_normalization():
@@ -46,12 +46,11 @@ def criterion_1_kernel_normalization():
 
 
 def criterion_2_reproduction_closed_form():
-    t_start = time.time()
     lam = 1.0
     t0, tau, t1 = 0.0, 0.5, 1.0
     # pole-variable quadrature nodes (panel Gauss rule over the support)
-    xn, xw = panel_nodes(uniform_edges(-7.0, 7.0, 0.5), 12)
-    yn, yw = panel_nodes(uniform_edges(-5.0, 5.0, 0.25), 12)
+    xn, xw = panel_nodes(edges_with_kinks(-7.0, 7.0, 0.5, ()), 12)
+    yn, yw = panel_nodes(edges_with_kinks(-5.0, 5.0, 0.25, ()), 12)
     XX = np.repeat(xn, yn.size)
     YY = np.tile(yn, xn.size)
     WW = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
@@ -67,9 +66,7 @@ def criterion_2_reproduction_closed_form():
                               YY[None, :], tau)
         composed = outer @ (WW * inner)
         l1 += float(np.sum(np.abs(composed - direct))) * dA
-    elapsed = time.time() - t_start
-    return (l1 <= 1e-3 and elapsed < 30.0,
-            f"L1 discrepancy = {l1:.2e}, runtime {elapsed:.1f}s")
+    return l1 <= 1e-3, f"L1 discrepancy = {l1:.2e}"
 
 
 def criterion_3_residual_order():
@@ -105,24 +102,20 @@ def criterion_3_residual_order():
 
 
 def criterion_4_yor_kernel_mass():
-    t_start = time.time()
     # the pole-variable mass of Gamma_L at unit diffusion and elapsed time
     # 1 is the Yor density's at t = 1/2
     res = yor_mass(0.5, tol=1e-4)
-    elapsed = time.time() - t_start
     # dual-rule agreement honored at the requested tolerance
     dual_ok = True
     for z in (0.5, 1.0, 3.0):
         th = theta(z, 0.5, tol=1e-8)
         dual_ok &= th.abs_error_estimate <= 1e-8
-    ok = 0.999 <= res.value <= 1.001 and dual_ok and elapsed < 60.0
+    ok = 0.999 <= res.value <= 1.001 and dual_ok
     return ok, (f"mass = {res.value:.8f} (est err "
-                f"{res.abs_error_estimate:.1e}), dual-rule ok = {dual_ok}, "
-                f"runtime {elapsed:.1f}s")
+                f"{res.abs_error_estimate:.1e}), dual-rule ok = {dual_ok}")
 
 
 def criterion_5_kernel_vs_mc_density():
-    t_start = time.time()
     model = ModelSpec(mu=0.0, sigma=math.sqrt(2.0),
                       averaging=Averaging.ARITHMETIC)
     cfg = McConfig(n_paths=1_000_000, n_steps=512, seed=2024)
@@ -135,10 +128,7 @@ def criterion_5_kernel_vs_mc_density():
     dens, _ = gamma_l_array(1.0, 1.0, 0.0, 1.0, XX.ravel(), YY.ravel(), 0.0,
                             1e-8)
     frac = fraction_within_bands(hist, dens.reshape(XX.shape))
-    elapsed = time.time() - t_start
-    return (frac >= 0.95 and elapsed < 300.0,
-            f"{frac:.1%} of 50x50 bins inside 3-sigma bands, "
-            f"runtime {elapsed:.0f}s")
+    return frac >= 0.95, f"{frac:.1%} of 50x50 bins inside 3-sigma bands"
 
 
 def criterion_6_psi_oracle():
@@ -304,7 +294,6 @@ def criterion_11_comparison_principle():
 
 
 def criterion_10_dual_method_pricing():
-    t_start = time.time()
     # geometric-average call, sigma = 0.4, r = 0, S = K = 1, T = 1
     sigma_g = 0.4
     lam_g = 0.5 * sigma_g**2
@@ -335,11 +324,9 @@ def criterion_10_dual_method_pricing():
                           McConfig(n_paths=1_000_000, n_steps=512,
                                    seed=1002))
     dev_a = abs(kp_a - mc_a) / se_a
-    elapsed = time.time() - t_start
-    ok = dev_g <= 3.0 and dev_a <= 3.0 and elapsed < 600.0
-    return ok, (f"geometric: kernel {kp_g:.6f} vs mc {mc_g:.6f} "
-                f"({dev_g:.2f} se); arithmetic: kernel {kp_a:.6f} vs mc "
-                f"{mc_a:.6f} ({dev_a:.2f} se); runtime {elapsed:.0f}s")
+    return dev_g <= 3.0 and dev_a <= 3.0, (
+        f"geometric: kernel {kp_g:.6f} vs mc {mc_g:.6f} ({dev_g:.2f} se); "
+        f"arithmetic: kernel {kp_a:.6f} vs mc {mc_a:.6f} ({dev_a:.2f} se)")
 
 
 def criterion_12_initial_datum_attainment():
@@ -381,8 +368,18 @@ CRITERIA = {
 }
 
 
+# wall-clock bounds in seconds; a criterion that takes as long or longer fails
+RUNTIME_BOUND_S = {2: 30.0, 4: 60.0, 5: 300.0, 10: 600.0}
+
+
 def run(n: int) -> tuple[bool, str, float]:
-    """Run criterion n: (passed, detail, wall seconds)."""
+    """Run criterion n: (passed, detail, wall seconds).  Past its
+    :data:`RUNTIME_BOUND_S` entry it fails, and its detail says so."""
     start = time.perf_counter()
     passed, detail = CRITERIA[n]()
-    return bool(passed), detail, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    bound = RUNTIME_BOUND_S.get(n, math.inf)
+    if not seconds < bound:
+        passed = False
+        detail += f"; runtime {seconds:.1f}s, bound {bound:.0f}s"
+    return bool(passed), detail, seconds

@@ -91,6 +91,10 @@ def _cmd_kernel(args) -> int:
     else:
         val, err = map(float, gamma_l_array(args.lam, z.x, z.y, z.t, pole.x,
                                             pole.y, pole.t, args.tol))
+        if not err <= args.tol:
+            raise ToleranceNotMetError(
+                f"kernel {val:.6g} has error estimate {err:.3g} above tol "
+                f"{args.tol:.3g}")
     print(f"{float(val)!r}")
     if args.output:
         _write_csv(args.output,

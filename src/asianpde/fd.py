@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -84,7 +84,7 @@ class CoefficientField:
 
     a, b, r are callables of (x, y, t) acting on broadcastable arrays (plain
     numbers are wrapped).  lam <= a <= Lam and |b|, |r| <= Lam must hold on
-    any grid the field is used on; kind=L additionally requires r == 0.
+    any grid the field is used on.
     The solver takes a field whose x-bands agree bitwise at its first,
     middle and last step times as time-independent (see solve_cauchy).
     """
@@ -127,11 +127,7 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor grid; for kind=L the x axis carries w = log(price).
-
-    The transport CFL ratio max|speed| * dt / dy is recorded at
-    construction; solves refuse ratios above 1.
-    """
+    """Tensor grid; for kind=L the x axis carries w = log(price)."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -140,7 +136,6 @@ class GridSpec:
     ny: int
     nt: int
     kind: GeometryKind = GeometryKind.K
-    cfl_ratio: float = dc_field(init=False)
 
     def __post_init__(self) -> None:
         if min(self.nx, self.ny) < 3 or self.nt < 1:
@@ -150,9 +145,6 @@ class GridSpec:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"{name} range must be finite and "
                                  f"increasing, got {lo},{hi}")
-        speed = np.max(np.abs(self.physical_x(self.xs)))
-        object.__setattr__(self, "cfl_ratio",
-                           float(speed * self.dt / self.dy))
 
     @property
     def xs(self) -> np.ndarray:
@@ -369,13 +361,14 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
     """March the Cauchy problem from the initial slice to the final time.
 
     Lie splitting: explicit upwind transport in y (monotone under the CFL
-    constraint), then implicit Euler for the x-diffusion/drift/zero-order
-    block (an M-matrix solve while a >= |b|*dx/2, refused with ValueError
-    where that cell Peclet condition fails).  For r >= 0 the scheme obeys
-    the discrete maximum principle.  The implicit step is factored once
-    when the bands of D at the first, middle and last step times are
-    bitwise equal, else at every step: a field that varies in t yet agrees
-    at those three times is stepped as if frozen at the first.
+    constraint max|speed| * dt / dy <= 1, refused with CflError), then
+    implicit Euler for the x-diffusion/drift/zero-order block (an M-matrix
+    solve while a >= |b|*dx/2, refused with ValueError where that cell
+    Peclet condition fails).  For r >= 0 the scheme obeys the discrete
+    maximum principle.  The implicit step is factored once when the bands
+    of D at the first, middle and last step times are bitwise equal, else
+    at every step: a field that varies in t yet agrees at those three
+    times is stepped as if frozen at the first.
 
     The march runs on a private (ny, nx) copy of `initial`, x fastest: the
     transport is two in-place slice updates split at the first cell whose
@@ -386,12 +379,11 @@ def solve_cauchy(field: CoefficientField, initial: np.ndarray,
         raise GridMismatchError(
             f"initial shape {initial.shape} != {(grid.nx, grid.ny)}"
         )
-    if grid.cfl_ratio > 1.0 + 1e-12:
-        raise CflError(
-            f"transport CFL ratio {grid.cfl_ratio:.3f} > 1; refine dt or dy"
-        )
     dt = grid.dt
     nu = grid.physical_x(grid.xs) * dt / grid.dy
+    cfl = float(np.max(np.abs(nu)))
+    if cfl > 1.0 + 1e-12:
+        raise CflError(f"transport CFL ratio {cfl:.3f} > 1; refine dt or dy")
     # nu increases in x: cells k0.. look up in y, cells ..k0 look down
     k0 = int(np.searchsorted(nu, 0.0))
     ts = grid.ts

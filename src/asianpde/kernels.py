@@ -13,6 +13,8 @@ exponential, which carries the slowly decaying oscillatory integral theta.
 theta is computed in the scaled form g(z) = e^z * theta(z, t), whose
 integrand carries exp(-z*(cosh(xi) - 1)), by half-period-aligned panel
 quadrature with dual-rule error control (:func:`theta_batch`).
+:func:`_theta_factor` turns g into theta, and it alone adds theta's
+truncation floor to the estimate and reports a value below it as 0.
 
 Integrals of the density run in s = log z and v = log u, where theta
 depends on s alone, so one theta call per rule covers every node
@@ -195,26 +197,27 @@ def _check_t_tol(t: float, tol: float) -> None:
     _check_positive("tol", tol)
 
 
-def _drop_below_estimate(vals: np.ndarray, errs: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    # the exact values are positive: a value below its own estimate (negative
-    # quadrature dust included) is reported as 0, its magnitude added to
-    # the estimate
+def _theta_factor(z: np.ndarray, t: float, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """theta(z, t) = e^-z * g(z) over an array of z, with its estimate:
+    e^-z times the estimate of g from :func:`theta_batch`, plus the
+    truncation floor min(tol*1e-3, 1e-18) * t.  The exact values are
+    positive, so a value below its own estimate (negative quadrature dust
+    included) is reported as 0, its magnitude added to the estimate.  This
+    is the only code that applies the floor and that drop."""
+    g, g_err = theta_batch(z, t, tol)
+    with np.errstate(under="ignore"):
+        damp = np.exp(-z)
+    vals = damp * g
+    errs = damp * g_err + _truncation_floor(tol) * t
     drop = vals < errs
     return (np.where(drop, 0.0, vals),
             np.where(drop, errs + np.abs(vals), errs))
 
 
 def theta(z_arg: float, t: float, tol: float = 1e-10) -> KernelResult:
-    """Oscillatory transform at one z: e^-z times :func:`theta_batch`.
-
-    The estimate adds the truncation floor min(tol*1e-3, 1e-18) * t to the
-    scaled rule's estimate; a value below its estimate is reported as 0.
-    """
-    g, g_err = theta_batch(np.array([z_arg], dtype=float), t, tol)
-    scale = math.exp(-z_arg)
-    value, err = _drop_below_estimate(
-        scale * g, scale * g_err + _truncation_floor(tol) * t)
+    """Oscillatory transform at one z: :func:`_theta_factor` at that z."""
+    value, err = _theta_factor(np.array([z_arg], dtype=float), t, tol)
     return KernelResult(value=float(value[0]), abs_error_estimate=float(err[0]))
 
 
@@ -229,12 +232,12 @@ def theta_batch(z: np.ndarray, t: float, tol: float = 1e-10
     cutoff of the unscaled envelope) and reused for every z.  The per-z
     estimate of g is the disagreement of two Gauss rules (orders 24 and 48
     per panel) plus the roundoff floor eps * integral(|integrand|) * panels.
-    The truncation floor belongs to theta itself, min(tol*1e-3, 1e-18) * t,
-    and is left to the callers, as is reporting values below their
-    estimate as 0.  The z are taken in chunks of about 6e4 z-by-node
-    elements, written into one reused buffer: about 0.5 MB a call.  A
-    value or estimate that is not finite, as at t above about 1000 where
-    sinh overflows, raises ThetaConvergenceError.
+    The truncation floor of theta itself and the reporting of values below
+    their estimate as 0 belong to :func:`_theta_factor` alone.  The z are
+    taken in chunks of about 6e4 z-by-node elements, written into one
+    reused buffer: about 0.5 MB a call.  A value or estimate that is not
+    finite, as at t above about 1000 where sinh overflows, raises
+    ThetaConvergenceError.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
@@ -290,46 +293,36 @@ def _yor_log_c0(t: float) -> float:
             - math.log(math.pi) - 0.5 * math.log(2.0 * math.pi * t))
 
 
-def _yor_prefactor_log(w, y, t):
-    return (_yor_log_c0(t)
-            - (1.0 + np.exp(2.0 * np.minimum(w, 350.0))) / (2.0 * y)
-            + w - 2.0 * np.log(y))
-
-
 def yor_density_batch(w: np.ndarray, y: np.ndarray, t: float,
                       tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized density over matching arrays of (w, y) at one shared t.
 
-    p = prefactor(w, y, t) * theta(z, t) with log z = w - log y, computed
-    as (prefactor * e^-z) * g(z) from the scaled transform g = e^z * theta.
+    p = prefactor * theta(z, t) in the band rule's variable s = w - log y
+    = log z, with prefactor exp(c0(t) + s - log y - 1/(2y) - e^2s * y/2).
     Where the prefactor underflows to 0, or z does (theta(0+, t) = 0), the
-    value and estimate are exactly 0.  g comes from one :func:`theta_batch`
-    call on the z of the other (live) points, as given; no z is
-    deduplicated.  The estimate is the scaled prefactor times the estimate
-    of g, plus the prefactor times theta's truncation floor
-    min(tol*1e-3, 1e-18) * t.  A value below its estimate (negative
-    quadrature dust included) is reported as 0, its magnitude added to the
-    estimate."""
+    value and estimate are exactly 0.  theta and its estimate come from one
+    :func:`_theta_factor` call on the z of the other (live) points, as
+    given; no z is deduplicated.  Both are multiplied by the prefactor, so
+    the truncation floor and the dropping of values below their estimate
+    are _theta_factor's."""
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("y values must be positive")
     _check_t_tol(t, tol)
-    log_pref = _yor_prefactor_log(w, y, t)
+    log_y = np.log(y)
     with np.errstate(under="ignore", over="ignore"):
-        z = np.exp(w - np.log(y))
-        live = (np.exp(log_pref) > 0.0) & (z > 0.0)
-        z = z[live]
-        log_pref = log_pref[live]
-        errs = np.exp(log_pref) * (_truncation_floor(tol) * t)
-        log_pref -= z
-        scaled = np.exp(log_pref, out=log_pref)
-    g, g_err = theta_batch(z, t, tol)
-    vals, errs = _drop_below_estimate(scaled * g, errs + scaled * g_err)
+        s = w - log_y
+        z = np.exp(s)
+        pref = np.exp(_yor_log_c0(t) + s - log_y - 0.5 / y
+                      - 0.5 * (z * z) * y)
+    live = (pref > 0.0) & (z > 0.0)
+    pref = pref[live]
+    th, th_err = _theta_factor(z[live], t, tol)
     out = np.zeros(live.shape)
     out_err = np.zeros(live.shape)
-    out[live] = vals
-    out_err[live] = errs
+    out[live] = pref * th
+    out_err[live] = pref * th_err
     return out, out_err
 
 
@@ -356,8 +349,8 @@ def _yor_band_rule(t: float, v_kinks, order: int, width: float, tol: float,
     rules, as on Gamma_K's outer axis.  A Yor time whose e^s_lo is
     subnormal, t above about 1110, raises ThetaConvergenceError before any
     node is built.  The estimate and the dropping of values below it are
-    :func:`yor_density_batch`'s; both are the prefactor times a factor of
-    s, so they are decided once per row.  Rows go in blocks of at most
+    :func:`_theta_factor`'s; both are the prefactor times a factor of s,
+    so they are decided once per row.  Rows go in blocks of at most
     BLOCK_NODES nodes; a block keeps only the v columns that meet the band
     |s + v| <= w_half, and masks its nodes outside the band.
     """
@@ -372,11 +365,7 @@ def _yor_band_rule(t: float, v_kinks, order: int, width: float, tol: float,
     vn, vw = panel_nodes(v_edges, order)
     sn = s_lo + h * np.arange(math.ceil((7.0 - s_lo) / h) + 1)
     z = np.exp(sn)
-    g, g_err = theta_batch(z, t, tol)
-    with np.errstate(under="ignore"):
-        damp = np.exp(-z)
-    row_val, row_err = _drop_below_estimate(
-        damp * g, damp * g_err + _truncation_floor(tol) * t)
+    row_val, row_err = _theta_factor(z, t, tol)
     row_log = _yor_log_c0(t) + sn
     e2s = z * z
     u = np.exp(vn)

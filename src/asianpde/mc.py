@@ -172,7 +172,6 @@ class Histogram2D:
     x_edges: np.ndarray
     y_edges: np.ndarray
     counts: np.ndarray
-    density: np.ndarray
     n_samples: int
 
     @property
@@ -193,16 +192,14 @@ def empirical_density(
     samples: tuple[np.ndarray, np.ndarray],
     bins: tuple[np.ndarray, np.ndarray],
 ) -> Histogram2D:
-    """Normalized 2D histogram; fraction_within_bands tests it per bin."""
+    """2D histogram counts; fraction_within_bands tests them per bin."""
     xs, ys = samples
     if xs.size < 10_000:
         raise ValueError("need at least 1e4 samples for a density estimate")
     x_edges, y_edges = np.asarray(bins[0], float), np.asarray(bins[1], float)
     counts, _, _ = np.histogram2d(xs, ys, bins=(x_edges, y_edges))
-    area = (x_edges[1] - x_edges[0]) * (y_edges[1] - y_edges[0])
-    density = counts / (xs.size * area)
     return Histogram2D(x_edges=x_edges, y_edges=y_edges, counts=counts,
-                       density=density, n_samples=xs.size)
+                       n_samples=xs.size)
 
 
 def fraction_within_bands(hist: Histogram2D, expected_density: np.ndarray

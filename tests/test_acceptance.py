@@ -4,7 +4,10 @@ registry, which holds the inputs and bounds.
 Every test prints one line 'ACCEPTANCE <n>: PASS|FAIL - <detail>' so the
 suite output doubles as the acceptance report.
 """
-from asianpde.acceptance import CRITERIA, run
+import pytest
+
+from asianpde import acceptance
+from asianpde.acceptance import CRITERIA, RUNTIME_BOUND_S, run
 
 
 def check(n):
@@ -15,6 +18,21 @@ def check(n):
 
 def test_registry_numbers_the_twelve_criteria():
     assert sorted(CRITERIA) == list(range(1, 13))
+
+
+def test_runtime_bounds():
+    assert RUNTIME_BOUND_S == {2: 30.0, 4: 60.0, 5: 300.0, 10: 600.0}
+
+
+@pytest.mark.parametrize("n", sorted(RUNTIME_BOUND_S))
+def test_run_fails_a_passing_criterion_past_its_runtime_bound(n, monkeypatch):
+    monkeypatch.setitem(acceptance.CRITERIA, n, lambda: (True, "forced"))
+    assert run(n)[:2] == (True, "forced")
+    monkeypatch.setitem(acceptance.RUNTIME_BOUND_S, n, 0.0)
+    passed, detail, seconds = run(n)
+    assert not passed and seconds >= 0.0
+    assert detail.startswith("forced; runtime ") and detail.endswith(
+        ", bound 0s")
 
 
 def test_criterion_1_kernel_normalization():

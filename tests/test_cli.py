@@ -179,7 +179,11 @@ def test_fd_solve_l_defaults_work(tmp_path, capsys):
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_validate_reproduction_suite(tmp_path, capsys):
+def test_validate_reproduction_suite(monkeypatch, tmp_path, capsys):
+    # criterion 2 itself runs in test_acceptance; a passing stand-in whose
+    # detail holds a comma checks the report
+    monkeypatch.setitem(acceptance.CRITERIA, 2,
+                        lambda: (True, "L1 discrepancy = 1e-04, as forced"))
     out_path = str(tmp_path / "rep.csv")
     code, _, err = run_cli(["validate", "--suite", "2",
                             "--output", out_path], capsys)
@@ -188,7 +192,7 @@ def test_validate_reproduction_suite(tmp_path, capsys):
     assert rows[0] == ["criterion", "pass", "seconds", "detail"]
     (n, passed, _, detail), = rows[1:]  # the detail's comma stays quoted
     assert (n, passed) == ("2", "True")
-    assert detail.startswith("L1 discrepancy = ") and ", runtime" in detail
+    assert detail == "L1 discrepancy = 1e-04, as forced"
 
 
 def test_validate_failure_exit_code(monkeypatch, capsys):
@@ -367,6 +371,11 @@ def test_python_m_runs_cli(module, capsys):
       "--lambda", "0"], "lambda must be positive and finite"),
     (["kernel", "--kind", "k", "--point", "0,0,1", "--pole", "0,0,0",
       "--lambda", "nan"], "lambda must be positive and finite"),
+    # at a Yor time of about 0.11 theta keeps no digits: the estimate is
+    # about 12, far above the default tol
+    (["kernel", "--kind", "l", "--lambda", "1.0304", "--point",
+      "1.1597,-0.902,0.8896", "--pole", "1.2883,0.1926,0.6704", "--output",
+      "k.csv"], "above tol"),
     (["mc", "--sigma", "nan", "--paths", "10"], "sigma must be finite"),
     (["mc", "--sigma", "1", "--mu", "nan", "--paths", "10"],
      "mu must be finite"),
@@ -395,7 +404,7 @@ def test_python_m_runs_cli(module, capsys):
         "kernel-nan-tol-off-support", "kernel-zero-tol-before-pole",
         "kernel-negative-tol-off-support",
         "kernel-negative-tol-before-pole", "kernel-k-zero-lambda",
-        "kernel-k-nan-lambda", "mc-nan-sigma",
+        "kernel-k-nan-lambda", "kernel-l-missed-tol", "mc-nan-sigma",
         "mc-nan-mu", "mc-infinite-sigma", "mc-infinite-spot",
         "mc-nan-horizon", "mc-infinite-horizon"])
 def test_python_m_usage_error_is_one_line(argv, text, tmp_path):

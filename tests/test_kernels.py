@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from asianpde import kernels
-from asianpde._quadrature import panel_nodes, uniform_edges
+from asianpde._quadrature import edges_with_kinks, panel_nodes
 from asianpde.geometry import EventPoint, GeometryKind, compose
 from asianpde.kernels import (KernelParams, KernelResult, ThetaConvergenceError,
                               gamma_k_array, gamma_k_mass, gamma_l_array,
@@ -249,6 +249,15 @@ def _repeated_grid():
     return np.tile(W.ravel(), 2), np.tile(Y.ravel(), 2)
 
 
+def _yor_prefactor(w, y, t):
+    """The prefactor of p(w, y, t) in closed form, as in the module
+    docstring's mpmath reference: p = prefactor * theta(e^w / y, t)."""
+    with np.errstate(under="ignore", over="ignore"):
+        log_norm = np.log(math.pi * math.sqrt(2 * math.pi * t) * y**2)
+        return np.exp(math.pi**2 / (2 * t) - (1 + np.exp(2 * w)) / (2 * y)
+                      + w - log_norm)
+
+
 def _record_theta_batch(monkeypatch):
     seen = []
 
@@ -272,7 +281,7 @@ def test_yor_density_calls_theta_once_on_live_z(monkeypatch):
     seen.clear()
     w, y = _repeated_grid()
     yor_density_batch(w, y, 0.8, 1e-10)
-    live = np.exp(kernels._yor_prefactor_log(w, y, 0.8)) > 0.0
+    live = _yor_prefactor(w, y, 0.8) > 0.0
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], np.exp(w - np.log(y))[live])
 
@@ -280,7 +289,7 @@ def test_yor_density_calls_theta_once_on_live_z(monkeypatch):
 def test_yor_density_where_z_underflows_is_exactly_zero():
     # the prefactor is about e^-700, live, but z = e^-800 / 0.25 is 0.0
     w, y = np.full(100, -800.0), np.full(100, 0.25)
-    assert np.all(np.exp(kernels._yor_prefactor_log(w, y, 0.05)) > 0.0)
+    assert np.all(_yor_prefactor(w, y, 0.05) > 0.0)
     vals, errs = yor_density_batch(w, y, 0.05)
     assert np.all(vals == 0.0) and np.all(errs == 0.0)
 
@@ -421,8 +430,8 @@ def test_gamma_l1_reproduction():
     # compose through tau = 0.5 and compare with the direct value; at
     # lam = 1.7 the legs have Yor times 0.425, where theta keeps its digits
     z, pole, tau = EventPoint(1, 0, 1), EventPoint(1, 1, 0), 0.5
-    vn, vw = panel_nodes(uniform_edges(-7.0, 5.0, 0.25), 10)
-    en, ew = panel_nodes(uniform_edges(1e-12, 1.0, 0.025), 10)
+    vn, vw = panel_nodes(edges_with_kinks(-7.0, 5.0, 0.25, ()), 10)
+    en, ew = panel_nodes(edges_with_kinks(1e-12, 1.0, 0.025, ()), 10)
     xi = np.exp(np.repeat(vn, en.size))
     eta = np.tile(en, vn.size)
     wts = np.repeat(vw, en.size) * xi * np.tile(ew, vn.size)
@@ -479,9 +488,9 @@ def test_gamma_l1_integral_over_evaluation_vars_approaches_one():
     pole = EventPoint(1.0, 0.5, 0.0)
     cbars = []
     for dt in (0.8, 0.6, 0.4):
-        vn, vw = panel_nodes(uniform_edges(-5.0, 3.5, 0.25), 8)
-        en, ew = panel_nodes(uniform_edges(0.5 - 8 * dt, 0.5 - 1e-12,
-                                           dt / 10), 8)
+        vn, vw = panel_nodes(edges_with_kinks(-5.0, 3.5, 0.25, ()), 8)
+        en, ew = panel_nodes(edges_with_kinks(0.5 - 8 * dt, 0.5 - 1e-12,
+                                              dt / 10, ()), 8)
         xi = np.exp(np.repeat(vn, en.size))
         eta = np.tile(en, vn.size)
         wts = np.repeat(vw, en.size) * xi * np.tile(ew, vn.size)

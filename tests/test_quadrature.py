@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from asianpde._quadrature import (dual_rule, gauss_hermite, gauss_legendre,
-                                  panel_nodes, uniform_edges)
+from asianpde._quadrature import (dual_rule, edges_with_kinks, gauss_hermite,
+                                  gauss_legendre, panel_nodes)
 
 
 def reference_panel_nodes(edges, order):
@@ -21,7 +21,7 @@ def reference_panel_nodes(edges, order):
 
 
 @pytest.mark.parametrize("edges", [
-    uniform_edges(-7.0, 5.0, 0.25),
+    edges_with_kinks(-7.0, 5.0, 0.25, ()),
     np.array([-3.0, -1.2, -1.2, 0.4, 2.5]),     # a zero-width panel
     [0.0, 1.0],
 ])
